@@ -141,20 +141,9 @@ let apply_big_flags big_rows big_dir =
   | None -> ());
   match big_dir with
   | Some d ->
-      Scale_out.mkdir_p d;
+      Sink.mkdir_p d;
       Mirage_engine.Col.set_big_dir (Some d)
   | None -> ()
-
-let schedule_arg =
-  let doc =
-    "Keygen scheduling: $(b,overlap) (the default) runs FK edges with no      ordering constraint between them concurrently on the domain pool,      solves each constrained edge's next CP batch while the current batch's      rows fill, and starts exporting a table the moment its last edge      commits; $(b,barrier) is the legacy one-edge-at-a-time walk, kept as      the differential oracle.  Both schedules generate byte-identical      databases for every domain count and chunk size — only wall-clock      time differs."
-  in
-  Arg.(value & opt string "overlap" & info [ "schedule" ] ~docv:"MODE" ~doc)
-
-let schedule_of = function
-  | "overlap" -> `Overlap
-  | "barrier" -> `Barrier
-  | other -> failwith (Printf.sprintf "unknown schedule %s (barrier|overlap)" other)
 
 let resume_arg =
   let doc =
@@ -168,18 +157,12 @@ let compress_arg =
   in
   Arg.(value & flag & info [ "compress" ] ~doc)
 
-let shard_per_domain_arg =
-  let doc =
-    "Write shards concurrently, one open shard stream per worker domain,      instead of rendering in parallel but draining through one writer.      Same shard files, manifest and bytes as the serial drain — only the      I/O parallelism changes.  Requires --chunk-rows."
-  in
-  Arg.(value & flag & info [ "shard-per-domain" ] ~doc)
-
-let run_generation ?(schedule = `Overlap) ?on_table_ready ?on_attempt_abort
-    ~chunk_rows name sf seed batch limits =
+let run_generation ?on_table_ready ?on_attempt_abort ~chunk_rows name sf seed
+    batch limits =
   let workload, ref_db, prod_env = make_workload name sf seed in
   let config =
     { Driver.default_config with
-      Driver.batch_size = batch; seed; budget = limits; chunk_rows; schedule;
+      Driver.batch_size = batch; seed; budget = limits; chunk_rows;
       on_table_ready; on_attempt_abort }
   in
   (workload, Driver.generate ~config workload ~ref_db ~prod_env)
@@ -233,26 +216,24 @@ let generate_cmd =
     Arg.(value & flag & info [ "sql" ]
            ~doc:"Also write schema.sql / data.sql / queries.sql into the output directory.")
   in
-  let run name sf seed batch out copies sql chunk resume compress sharded
-      sched brows bmb bsecs big_rows big_dir =
+  let run name sf seed batch out copies sql chunk resume compress brows bmb
+      bsecs big_rows big_dir =
     guarded @@ fun () ->
-    let schedule = schedule_of sched in
-    if (compress || sharded) && chunk = None then
-      failwith "--compress and --shard-per-domain require --chunk-rows";
+    if compress && chunk = None then
+      failwith "--compress requires --chunk-rows";
     apply_big_flags big_rows big_dir;
     let limits = limits_of brows bmb bsecs in
-    (* overlapped live export: with an output directory and a chunked run
-       under the overlap schedule, the sink opens before generation and each
-       table's shards stream out the moment its last FK edge commits.  The
-       export then shares the generation budget clock (it runs during
-       generation); the barrier schedule and the domain-owned sharded writer
-       keep the post-generation export with its own clock. *)
+    (* live export: with an output directory and a chunked run, the sink
+       opens before generation and each table's shards stream out the moment
+       its last FK edge commits.  The export therefore shares the generation
+       budget clock. *)
     let live =
       match (out, chunk) with
-      | Some dir, Some chunk_rows when schedule = `Overlap && not sharded ->
-          Scale_out.mkdir_p dir;
+      | Some dir, Some chunk_rows ->
           let token = Budget.start limits in
           let chunk_rows = Budget.chunk_rows token ~default:chunk_rows in
+          (* run_id pins every parameter that changes the output bytes;
+             compression changes them (shard names and contents) *)
           let run_id =
             Printf.sprintf "%s-sf%g-seed%d-copies%d-chunk%d%s" name sf seed
               copies chunk_rows
@@ -274,8 +255,8 @@ let generate_cmd =
       Option.map (fun h () -> Scale_out.abort_csv_export h) live
     in
     let workload, outcome =
-      run_generation ~schedule ?on_table_ready ?on_attempt_abort
-        ~chunk_rows:chunk name sf seed batch limits
+      run_generation ?on_table_ready ?on_attempt_abort ~chunk_rows:chunk name
+        sf seed batch limits
     in
     match outcome with
     | Error d -> report_fatal d
@@ -286,42 +267,16 @@ let generate_cmd =
         (match out with
         | None -> ()
         | Some dir -> (
-            Scale_out.mkdir_p dir;
-            (* the export gets its own budget clock; rows and heap limits
-               carry over, the deadline restarts at export begin *)
+            (* the SQL export gets its own budget clock; rows and heap
+               limits carry over, the deadline restarts here *)
             let token = Budget.start limits in
             let interrupt () = Budget.check token in
-            (match chunk with
-            | Some chunk_rows ->
-                let chunk_rows = Budget.chunk_rows token ~default:chunk_rows in
-                let t0 = Unix.gettimeofday () in
-                let rep =
-                  match live with
-                  | Some h ->
-                      (* tables exported while generation ran are already
-                         committed; the finish pass renders whatever the
-                         hook missed and seals the manifest *)
-                      Scale_out.finish_csv_export h ~db:r.Driver.r_db
-                  | None ->
-                      (* run_id pins every parameter that changes the output
-                         bytes; compression changes them (shard names and
-                         contents), the domain-owned writer does not
-                         (identical layout and bytes), so a sharded run may
-                         resume a chunked one and vice versa *)
-                      let run_id =
-                        Printf.sprintf "%s-sf%g-seed%d-copies%d-chunk%d%s"
-                          name sf seed copies chunk_rows
-                          (if compress then "-gz" else "")
-                      in
-                      let export =
-                        if sharded then Scale_out.to_csv_sharded
-                        else Scale_out.to_csv_chunked
-                      in
-                      export ~pool:(export_pool ()) ~resume ~compress
-                        ~interrupt ~db:r.Driver.r_db ~copies ~chunk_rows
-                        ~dir ~run_id ()
-                in
-                let dt = Unix.gettimeofday () -. t0 in
+            (match live with
+            | Some h ->
+                (* tables exported while generation ran are already
+                   committed; the finish pass renders whatever the hook
+                   missed and seals the manifest *)
+                let rep = Scale_out.finish_csv_export h ~db:r.Driver.r_db in
                 Fmt.pr "wrote %d shards to %s (%d resumed, %d bytes this run)@."
                   rep.Scale_out.cr_shards dir rep.Scale_out.cr_resumed
                   rep.Scale_out.cr_bytes;
@@ -334,14 +289,7 @@ let generate_cmd =
                       Fmt.pr "  %-12s %d rows, %d bytes raw, %d gzipped@."
                         tname rows raw disk
                     else Fmt.pr "  %-12s %d rows, %d bytes@." tname rows raw)
-                  rep.Scale_out.cr_tables;
-                (* MB/s only when the whole export ran inside [t0, now] —
-                   with a live export most bytes were written during
-                   generation, so the tail-pass rate would be meaningless *)
-                if Option.is_none live && dt > 0.0 && rep.Scale_out.cr_bytes > 0
-                then
-                  Fmt.pr "  %.1f MB/s this run@."
-                    (float_of_int rep.Scale_out.cr_bytes /. 1e6 /. dt)
+                  rep.Scale_out.cr_tables
             | None ->
                 Scale_out.to_csv_dir ~pool:(export_pool ()) ~db:r.Driver.r_db
                   ~copies ~dir ();
@@ -391,16 +339,15 @@ let generate_cmd =
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ out_arg
       $ copies_arg $ sql_arg $ chunk_rows_arg $ resume_arg $ compress_arg
-      $ shard_per_domain_arg $ schedule_arg $ budget_rows_arg $ budget_mb_arg
-      $ budget_seconds_arg $ big_rows_arg $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
+      $ big_dir_arg)
 
 let verify_cmd =
-  let run name sf seed batch chunk sched brows bmb bsecs big_rows big_dir =
+  let run name sf seed batch chunk brows bmb bsecs big_rows big_dir =
     guarded @@ fun () ->
-    let schedule = schedule_of sched in
     apply_big_flags big_rows big_dir;
     match
-      run_generation ~schedule ~chunk_rows:chunk name sf seed batch
+      run_generation ~chunk_rows:chunk name sf seed batch
         (limits_of brows bmb bsecs)
     with
     | _, Error d -> report_fatal d
@@ -412,8 +359,8 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc ~exits)
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ chunk_rows_arg
-      $ schedule_arg $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg
-      $ big_rows_arg $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
+      $ big_dir_arg)
 
 let compare_cmd =
   let run name sf seed =
@@ -479,9 +426,8 @@ let from_bundle_cmd =
   let bundle_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BUNDLE")
   in
-  let run path batch out copies chunk sched brows bmb bsecs big_rows big_dir =
+  let run path batch out copies chunk brows bmb bsecs big_rows big_dir =
     guarded @@ fun () ->
-    let schedule = schedule_of sched in
     apply_big_flags big_rows big_dir;
     match Mirage_core.Bundle.load ~path with
     | Error m ->
@@ -492,8 +438,7 @@ let from_bundle_cmd =
           { Driver.default_config with
             Driver.batch_size = batch;
             budget = limits_of brows bmb bsecs;
-            chunk_rows = chunk;
-            schedule }
+            chunk_rows = chunk }
         in
         match Driver.generate_from_bundle ~config b with
         | Error d -> report_fatal d
@@ -512,8 +457,8 @@ let from_bundle_cmd =
   Cmd.v (Cmd.info "from-bundle" ~doc ~exits)
     Term.(
       const run $ bundle_arg $ batch_arg $ out_arg $ copies_arg $ chunk_rows_arg
-      $ schedule_arg $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg
-      $ big_rows_arg $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
+      $ big_dir_arg)
 
 let verify_dir_cmd =
   let bundle_arg =

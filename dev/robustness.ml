@@ -70,6 +70,11 @@ let sink_scenarios failures =
               (concat_shards dir t))
           tables
       in
+      let export ?backend ?resume ~dir ~run_id () =
+        Scale_out.finish_csv_export ~db
+          (Scale_out.open_csv_export ?backend ?resume ~copies:2 ~chunk_rows
+             ~dir ~run_id ())
+      in
       (* crash after 2 committed shards, then resume to completion *)
       let dir = fresh_dir "rob_crash" in
       let crashed =
@@ -79,15 +84,13 @@ let sink_scenarios failures =
             Sink.os_backend
         in
         match
-          Scale_out.to_csv_chunked ~backend ~db ~copies:2 ~chunk_rows ~dir
-            ~run_id:"rob" ()
+          export ~backend ~dir ~run_id:"rob" ()
         with
         | _ -> false
         | exception Sink.Injected_crash _ -> true
       in
       let rep =
-        Scale_out.to_csv_chunked ~resume:true ~db ~copies:2 ~chunk_rows ~dir
-          ~run_id:"rob" ()
+        export ~resume:true ~dir ~run_id:"rob" ()
       in
       scenario "crash+resume byte-identity"
         (crashed
@@ -105,8 +108,7 @@ let sink_scenarios failures =
             Sink.os_backend
         in
         match
-          Scale_out.to_csv_chunked ~backend ~db ~copies:2 ~chunk_rows ~dir
-            ~run_id:"rob-e" ()
+          export ~backend ~dir ~run_id:"rob-e" ()
         with
         | _ -> false
         | exception Sink.Io_failure _ -> not (has_tmp dir)

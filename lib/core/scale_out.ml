@@ -4,6 +4,7 @@ module Col = Mirage_engine.Col
 module Db = Mirage_engine.Db
 module Render = Mirage_engine.Render
 module Par = Mirage_par.Par
+module Sink = Mirage_engine.Sink
 
 let cell_null nulls i =
   match nulls with Some b -> Col.Bitset.get b i | None -> false
@@ -17,14 +18,6 @@ let key_offsets db (tbl : Schema.table) t =
        (fun (f : Schema.fk) ->
          (f.Schema.fk_col, t * Db.row_count db f.Schema.references))
        tbl.Schema.fks
-
-(* hardened against concurrent creation (see Fsutil.mkdir_p); failures map
-   to [Sink.Io_failure] so the CLI's exit-code-4 contract holds for every
-   export path *)
-let mkdir_p dir =
-  Mirage_util.Fsutil.mkdir_p
-    ~fail:(fun m -> Mirage_engine.Sink.Io_failure m)
-    dir
 
 (* --- line templates --------------------------------------------------------
 
@@ -164,7 +157,7 @@ let csv_header names = String.concat "," (List.map Render.csv_escape names)
 
 let to_csv_dir ?(pool = Par.sequential) ~db ~copies ~dir () =
   if copies < 1 then invalid_arg "Scale_out.to_csv_dir: copies must be >= 1";
-  mkdir_p dir;
+  Sink.mkdir_p dir;
   let schema = Db.schema db in
   (* one reused buffer per pipeline slot ([Par.tile_slots], the pipeline's
      bounded lookahead): tiles splice in parallel from the shared template,
@@ -192,15 +185,18 @@ let to_csv_dir ?(pool = Par.sequential) ~db ~copies ~dir () =
 
 (* --- crash-safe chunked export ---------------------------------------------
 
-   Same templates, same tile pipeline, but the bytes go through the Sink
-   layer shard-at-a-time: shard [k] of a table holds a contiguous run of
-   tiles sized to [chunk_rows], shard 0 additionally carries the header, so
+   Same templates, but the bytes go through the Sink layer shard-at-a-time:
+   shard [k] of a table holds a contiguous run of tiles sized to
+   [chunk_rows], shard 0 additionally carries the header, so
    [cat table.csv.0 table.csv.1 ...] is byte-for-byte the monolithic
-   [to_csv_dir] output.  Shards committed in the manifest are skipped
-   without rendering — that, plus per-shard determinism, is what makes a
-   resumed run byte-identical to an uninterrupted one. *)
+   [to_csv_dir] output.  The shard is the unit of parallelism: each worker
+   slot owns one render buffer and an exclusive output stream for whichever
+   shard it claims, so N domains hold N shard files open and write
+   concurrently, while the manifest's [seq] keeps concatenation order
+   deterministic.  Shards committed in the manifest are skipped without
+   rendering — that, plus per-shard determinism, is what makes a resumed
+   run byte-identical to an uninterrupted one. *)
 
-module Sink = Mirage_engine.Sink
 module Gz = Mirage_engine.Gz
 
 type chunk_report = {
@@ -255,24 +251,33 @@ let with_payload ~compress w body =
     Gz.finish gz
   end
 
-(* delete shards beyond [nshards] left by a previous run with a different
-   chunk count (either compression form) — they would corrupt concatenation *)
-let remove_surplus_shards ~dir tname nshards =
-  List.iter
-    (fun compress ->
-      let j = ref nshards in
-      while
-        Sys.file_exists (Filename.concat dir (shard_name ~compress tname !j))
-      do
-        (try Sys.remove (Filename.concat dir (shard_name ~compress tname !j))
-         with Sys_error _ -> ());
-        incr j
-      done)
-    [ false; true ]
+(* delete the shards of [tname] an earlier run left behind that would
+   corrupt concatenation: indices from [nshards] on in the form being
+   written (a different chunk count), and every index of the other
+   compression form.  The directory is listed rather than probed index by
+   index, because a killed run of concurrent writers can leave gaps. *)
+let remove_surplus_shards ~dir ~compress tname nshards =
+  let stale f =
+    let gz = Filename.check_suffix f ".gz" in
+    let f = if gz then Filename.chop_suffix f ".gz" else f in
+    match Filename.extension f with
+    | "" -> false
+    | ext -> (
+        let k = String.sub ext 1 (String.length ext - 1) in
+        match int_of_string_opt k with
+        | Some k' when string_of_int k' = k && k' >= 0 ->
+            Filename.remove_extension f = tname ^ ".csv"
+            && (gz <> compress || k' >= nshards)
+        | _ -> false)
+  in
+  Array.iter
+    (fun f ->
+      if stale f then
+        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (Sys.readdir dir)
 
-(* shard layout shared by the chunked and sharded writers: tables in schema
-   order, [tiles_per_shard] tiles per shard, global [seq] in concatenation
-   order *)
+(* shard layout: tables in schema order, [tiles_per_shard] tiles per shard,
+   global [seq] in concatenation order *)
 type shard_unit = {
   u_table : Schema.table;
   u_name : string;
@@ -312,11 +317,8 @@ let shard_units ~db ~copies ~chunk_rows ~compress schema =
    tables have been claimed, and which shard names this generation attempt
    wrote (so an aborted attempt can retract exactly those).  [export_table]
    is idempotent and safe to call concurrently from pool tasks: each call
-   owns its render buffers and its table's template, and all cross-call
-   state is behind one mutex.  Rendering within one call still goes through
-   the tile pipeline, so the sequential open → export-each-table → finish
-   composition ([to_csv_chunked]) keeps the exact parallel structure — and
-   bytes — of the old monolithic writer. *)
+   owns its render buffers and templates, and all cross-call state is
+   behind one mutex. *)
 
 type live_export = {
   le_sink : Sink.t;
@@ -370,103 +372,115 @@ let le_units h ~db =
       h.le_units <- Some units;
       units
 
-(* render one shard into the sink — the body shared by every chunked
-   writer.  [template] memoizes the whole-table template across the shards
-   of one [export_table] call (never across calls, so concurrent exporters
-   share nothing mutable). *)
-let render_unit h ~db ~bufs ~template u =
-  let compress = h.le_compress and interrupt = h.le_interrupt in
-  let chunk_rows = h.le_chunk_rows in
-  let rows = Db.row_count db u.u_table.Schema.tname in
+(* render one claimed shard through the worker's [buf] into its own sink
+   stream.  A table with a template in [tpls] (it fits one chunk, or its
+   columns live on the heap anyway) splices every tile from it; any other
+   table has [rows > chunk_rows], which forces one tile per shard, and that
+   tile streams through per-window templates so the worker's resident bytes
+   stay O(chunk) — the concatenated windows are byte-for-byte what the
+   whole-table template would have emitted. *)
+let render_unit h ~db ~buf ~tpls u =
   Sink.write_shard h.le_sink ~seq:u.u_seq ~name:u.u_name (fun w ->
-      with_payload ~compress w (fun put ->
+      with_payload ~compress:h.le_compress w (fun put ->
+          let emit tpl ~tile =
+            h.le_interrupt ();
+            emit_tile buf tpl ~tile;
+            put (Render.Buf.unsafe_bytes buf) ~pos:0
+              ~len:(Render.Buf.length buf)
+          in
           if u.u_header then begin
             let hdr = csv_header (Schema.column_names u.u_table) ^ "\n" in
             put (Bytes.unsafe_of_string hdr) ~pos:0 ~len:(String.length hdr)
           end;
-          if rows <= chunk_rows || rows < Col.big_rows () then begin
-            (* the table fits one chunk, or its columns live on the
-               heap anyway: the cached whole-table template is no
-               asymptotic cost and avoids per-window rebuild churn *)
-            let tpl = template u.u_table in
-            Par.iter_tiles ~interrupt h.le_pool ~tiles:u.u_tiles
-              ~render:(fun ~slot ~tile ->
-                let buf = bufs.(slot) in
-                emit_tile buf tpl ~tile:(u.u_lo + tile);
-                buf)
-              ~write:(fun ~tile:_ buf ->
-                put (Render.Buf.unsafe_bytes buf) ~pos:0
-                  ~len:(Render.Buf.length buf))
-          end
-          else begin
-            (* [rows > chunk_rows] forces tiles_per_shard = 1, so this
-               shard is exactly tile [u.u_lo].  The pipeline's work
-               item becomes the chunk: each slot builds the template
-               for its own row window and splices the tile's shift
-               into it, the in-order drain concatenates the windows —
-               byte-for-byte what the whole-table template would have
-               emitted, at O(chunk) resident bytes per slot. *)
-            let ranges = Chunk_plan.ranges ~rows ~chunk_rows in
-            Par.iter_tiles ~interrupt h.le_pool ~tiles:(Array.length ranges)
-              ~render:(fun ~slot ~tile:ci ->
-                let lo, len = ranges.(ci) in
-                let tpl = build_template ~lo ~rows:len db u.u_table in
-                let buf = bufs.(slot) in
-                emit_tile buf tpl ~tile:u.u_lo;
-                buf)
-              ~write:(fun ~tile:_ buf ->
-                put (Render.Buf.unsafe_bytes buf) ~pos:0
-                  ~len:(Render.Buf.length buf))
-          end))
+          match Hashtbl.find_opt tpls u.u_table.Schema.tname with
+          | Some tpl ->
+              for tile = u.u_lo to u.u_lo + u.u_tiles - 1 do
+                emit tpl ~tile
+              done
+          | None ->
+              Array.iter
+                (fun (lo, len) ->
+                  emit (build_template ~lo ~rows:len db u.u_table) ~tile:u.u_lo)
+                (Chunk_plan.ranges
+                   ~rows:(Db.row_count db u.u_table.Schema.tname)
+                   ~chunk_rows:h.le_chunk_rows)))
 
-let export_table h ~db tname =
-  let claim =
+(* claim every table of [tnames] not claimed yet and render its pending
+   shards: each worker slot owns one render buffer and claims whole shards,
+   in concatenation order, from a shared counter.  The first failure stops
+   further claims; in-flight shards abort at their own interrupt poll or
+   I/O error.  The shards this call committed are recorded for
+   [abort_csv_export] on success and failure alike; on failure the claims
+   are released so a later call (the finish pass) retries the tables. *)
+let render_tables h ~db tnames =
+  let claimed, units =
     le_locked h (fun () ->
-        if Hashtbl.mem h.le_claimed tname then None
-        else begin
-          Hashtbl.replace h.le_claimed tname ();
-          Some
-            (List.filter
-               (fun u -> u.u_table.Schema.tname = tname)
-               (le_units h ~db))
-        end)
+        let claimed =
+          List.filter (fun t -> not (Hashtbl.mem h.le_claimed t)) tnames
+        in
+        List.iter (fun t -> Hashtbl.replace h.le_claimed t ()) claimed;
+        ( claimed,
+          List.filter
+            (fun u -> List.mem u.u_table.Schema.tname claimed)
+            (le_units h ~db) ))
   in
-  match claim with
-  | None -> ()
-  | Some units -> (
-      let bufs =
-        Array.init (Par.tile_slots h.le_pool) (fun _ ->
-            Render.Buf.create (1 lsl 16))
-      in
-      let tpl = ref None in
-      let template tbl =
-        match !tpl with
-        | Some t -> t
-        | None ->
-            let t = build_template db tbl in
-            tpl := Some t;
-            t
-      in
-      let written = ref [] in
-      match
-        List.iter
-          (fun u ->
-            h.le_interrupt ();
-            if not (Sink.is_done h.le_sink u.u_name) then begin
-              render_unit h ~db ~bufs ~template u;
-              written := u.u_name :: !written
-            end)
-          units;
-        remove_surplus_shards ~dir:h.le_dir tname (List.length units)
-      with
-      | () -> le_locked h (fun () -> h.le_written <- !written @ h.le_written)
-      | exception e ->
-          (* release the claim so the finish pass retries the table; the
-             shards already committed stay recorded for a possible abort *)
-          le_locked h (fun () ->
-              Hashtbl.remove h.le_claimed tname;
-              h.le_written <- !written @ h.le_written);
-          raise e)
+  let pending =
+    Array.of_list
+      (List.filter (fun u -> not (Sink.is_done h.le_sink u.u_name)) units)
+  in
+  let written = Array.make (Par.size h.le_pool) [] in
+  let record () =
+    h.le_written <-
+      Array.fold_left (fun acc l -> List.rev_append l acc) h.le_written written
+  in
+  let run () =
+    (* whole-table templates are built before the region: [Lazy.force] is
+       not domain-safe, and every pending shard of such a table needs one *)
+    let tpls = Hashtbl.create 8 in
+    Array.iter
+      (fun u ->
+        let tname = u.u_table.Schema.tname in
+        let rows = Db.row_count db tname in
+        if
+          (rows <= h.le_chunk_rows || rows < Col.big_rows ())
+          && not (Hashtbl.mem tpls tname)
+        then Hashtbl.replace tpls tname (build_template db u.u_table))
+      pending;
+    let next = Atomic.make 0 and stopped = Atomic.make false in
+    if Array.length pending > 0 then
+      Par.run_workers h.le_pool (fun slot ->
+          let buf = Render.Buf.create (1 lsl 16) in
+          try
+            let continue = ref true in
+            while !continue do
+              let i = Atomic.fetch_and_add next 1 in
+              if i >= Array.length pending || Atomic.get stopped then
+                continue := false
+              else begin
+                h.le_interrupt ();
+                render_unit h ~db ~buf ~tpls pending.(i);
+                written.(slot) <- pending.(i).u_name :: written.(slot)
+              end
+            done
+          with e ->
+            Atomic.set stopped true;
+            raise e);
+    List.iter
+      (fun tname ->
+        remove_surplus_shards ~dir:h.le_dir ~compress:h.le_compress tname
+          (List.length
+             (List.filter (fun u -> u.u_table.Schema.tname = tname) units)))
+      claimed
+  in
+  match run () with
+  | () -> le_locked h record
+  | exception e ->
+      le_locked h (fun () ->
+          List.iter (Hashtbl.remove h.le_claimed) claimed;
+          record ());
+      raise e
+
+let export_table h ~db tname = render_tables h ~db [ tname ]
 
 let abort_csv_export h =
   let names =
@@ -478,11 +492,14 @@ let abort_csv_export h =
   in
   Sink.forget h.le_sink names
 
+(* every table still unclaimed goes into one shard queue, so the finish
+   pass keeps all workers busy across table boundaries *)
 let finish_csv_export h ~db =
   let schema = Db.schema db in
-  List.iter
-    (fun (tbl : Schema.table) -> export_table h ~db tbl.Schema.tname)
-    (Schema.tables schema);
+  render_tables h ~db
+    (List.map
+       (fun (t : Schema.table) -> t.Schema.tname)
+       (Schema.tables schema));
   let units = le_locked h (fun () -> le_units h ~db) in
   Sink.finish h.le_sink;
   {
@@ -490,130 +507,6 @@ let finish_csv_export h ~db =
     cr_resumed = Sink.resumed_shards h.le_sink;
     cr_bytes = Sink.bytes_written h.le_sink;
     cr_tables = table_totals h.le_sink schema;
-  }
-
-let to_csv_chunked ?(pool = Par.sequential) ?backend ?(resume = false)
-    ?(compress = false) ?(interrupt = fun () -> ()) ~db ~copies ~chunk_rows
-    ~dir ~run_id () =
-  if copies < 1 then invalid_arg "Scale_out.to_csv_chunked: copies must be >= 1";
-  if chunk_rows < 1 then
-    invalid_arg "Scale_out.to_csv_chunked: chunk_rows must be >= 1";
-  let h =
-    open_csv_export ~pool ?backend ~resume ~compress ~interrupt ~copies
-      ~chunk_rows ~dir ~run_id ()
-  in
-  finish_csv_export h ~db
-
-(* --- domain-owned sharded export --------------------------------------------
-
-   Same shard layout (and therefore the same concatenation bytes) as
-   [to_csv_chunked], but the shard is the unit of parallelism instead of the
-   tile: each worker slot owns one render buffer and an exclusive output
-   stream for whichever shard it claims, renders that shard's tiles
-   sequentially into its own [Sink.write_shard], and commits with the usual
-   temp-file + rename + CRC protocol.  The serial drain of the tile
-   pipeline disappears — N domains hold N shard files open and write
-   concurrently — while [seq] keeps the manifest in concatenation order, so
-   resume and concatenation semantics are unchanged. *)
-
-let to_csv_sharded ?(pool = Par.sequential) ?backend ?(resume = false)
-    ?(compress = false) ?(interrupt = fun () -> ()) ~db ~copies ~chunk_rows
-    ~dir ~run_id () =
-  if copies < 1 then invalid_arg "Scale_out.to_csv_sharded: copies must be >= 1";
-  if chunk_rows < 1 then
-    invalid_arg "Scale_out.to_csv_sharded: chunk_rows must be >= 1";
-  let sink = Sink.create ?backend ~resume ~dir ~run_id () in
-  let schema = Db.schema db in
-  let units =
-    Array.of_list (shard_units ~db ~copies ~chunk_rows ~compress schema)
-  in
-  let pending =
-    Array.to_list units
-    |> List.filter (fun u -> not (Sink.is_done sink u.u_name))
-    |> Array.of_list
-  in
-  (* whole-table templates (for tables that fit one chunk, or whose columns
-     are heap-resident anyway) are forced eagerly: [Lazy.force] is not safe
-     across domains, and every pending small table will need its template
-     anyway.  Genuinely big tables build their chunk templates inside the
-     claiming worker instead. *)
-  let tpls = Hashtbl.create 8 in
-  Array.iter
-    (fun u ->
-      let tname = u.u_table.Schema.tname in
-      let rows = Db.row_count db tname in
-      if
-        (rows <= chunk_rows || rows < Col.big_rows ())
-        && not (Hashtbl.mem tpls tname)
-      then Hashtbl.replace tpls tname (build_template db u.u_table))
-    pending;
-  let next = Atomic.make 0 in
-  let stopped = Atomic.make false in
-  Par.run_workers pool (fun _slot ->
-      let buf = Render.Buf.create (1 lsl 16) in
-      try
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= Array.length pending || Atomic.get stopped then
-            continue := false
-          else begin
-            interrupt ();
-            let u = pending.(i) in
-            let rows = Db.row_count db u.u_table.Schema.tname in
-            Sink.write_shard sink ~seq:u.u_seq ~name:u.u_name (fun w ->
-                with_payload ~compress w (fun put ->
-                    if u.u_header then begin
-                      let hdr =
-                        csv_header (Schema.column_names u.u_table) ^ "\n"
-                      in
-                      put (Bytes.unsafe_of_string hdr) ~pos:0
-                        ~len:(String.length hdr)
-                    end;
-                    if rows <= chunk_rows || rows < Col.big_rows () then begin
-                      let tpl = Hashtbl.find tpls u.u_table.Schema.tname in
-                      for tile = u.u_lo to u.u_lo + u.u_tiles - 1 do
-                        interrupt ();
-                        emit_tile buf tpl ~tile;
-                        put (Render.Buf.unsafe_bytes buf) ~pos:0
-                          ~len:(Render.Buf.length buf)
-                      done
-                    end
-                    else
-                      (* single-tile shard (see to_csv_chunked): stream the
-                         tile's row windows so this worker's resident bytes
-                         stay O(chunk) *)
-                      Array.iter
-                        (fun (lo, len) ->
-                          interrupt ();
-                          let tpl = build_template ~lo ~rows:len db u.u_table in
-                          emit_tile buf tpl ~tile:u.u_lo;
-                          put (Render.Buf.unsafe_bytes buf) ~pos:0
-                            ~len:(Render.Buf.length buf))
-                        (Chunk_plan.ranges ~rows ~chunk_rows)))
-          end
-        done
-      with e ->
-        (* first failure stops the other workers from claiming new shards;
-           in-flight shards abort at their own interrupt poll or I/O error *)
-        Atomic.set stopped true;
-        raise e);
-  List.iter
-    (fun (tbl : Schema.table) ->
-      let nshards =
-        Array.fold_left
-          (fun acc u ->
-            if u.u_table.Schema.tname = tbl.Schema.tname then acc + 1 else acc)
-          0 units
-      in
-      remove_surplus_shards ~dir tbl.Schema.tname nshards)
-    (Schema.tables schema);
-  Sink.finish sink;
-  {
-    cr_shards = Array.length units;
-    cr_resumed = Sink.resumed_shards sink;
-    cr_bytes = Sink.bytes_written sink;
-    cr_tables = table_totals sink schema;
   }
 
 (* exact CSV output size without rendering: fixed template bytes per tile
@@ -750,7 +643,7 @@ module Reference = struct
   let to_csv_dir ?(pool = Par.sequential) ~db ~copies ~dir () =
     if copies < 1 then
       invalid_arg "Scale_out.Reference.to_csv_dir: copies must be >= 1";
-    mkdir_p dir;
+    Sink.mkdir_p dir;
     let schema = Db.schema db in
     let bufs =
       Array.init (Par.tile_slots pool) (fun _ -> Buffer.create (1 lsl 16))

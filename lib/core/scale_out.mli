@@ -25,12 +25,6 @@
     byte-identical to the per-cell {!Reference} renderer for every domain
     count and copy count. *)
 
-val mkdir_p : string -> unit
-(** Recursive [Sys.mkdir]: creates missing parent directories, succeeds if
-    the directory already exists — including one that appears concurrently
-    ({!Mirage_util.Fsutil.mkdir_p} with failures mapped to
-    {!Mirage_engine.Sink.Io_failure}).  Shared by every exporter. *)
-
 val to_csv_dir :
   ?pool:Mirage_par.Par.pool ->
   db:Mirage_engine.Db.t ->
@@ -57,57 +51,15 @@ type chunk_report = {
           compression is on *)
 }
 
-val to_csv_chunked :
-  ?pool:Mirage_par.Par.pool ->
-  ?backend:Mirage_engine.Sink.backend ->
-  ?resume:bool ->
-  ?compress:bool ->
-  ?interrupt:(unit -> unit) ->
-  db:Mirage_engine.Db.t ->
-  copies:int ->
-  chunk_rows:int ->
-  dir:string ->
-  run_id:string ->
-  unit ->
-  chunk_report
-(** Crash-safe chunked variant of {!to_csv_dir}: each table is emitted as
-    shard files [<table>.csv.0], [<table>.csv.1], … of at most [chunk_rows]
-    rows' worth of tiles each (at least one tile per shard), through a
-    {!Mirage_engine.Sink} run — temp file + atomic rename + manifest
-    checkpoint per shard.  Shard 0 carries the CSV header, so concatenating
-    a table's shards in index order reproduces the monolithic [to_csv_dir]
-    file byte-for-byte.
+(** {2 Crash-safe chunked export}
 
-    With [~compress:true] every shard is a gzip member named
-    [<table>.csv.<k>.gz] ({!Mirage_engine.Gz}); concatenating a table's
-    shards yields a valid multi-member gzip file whose decompression is the
-    monolithic CSV, and the manifest records both raw and compressed sizes.
-
-    With [~resume:true] and a matching [run_id], shards recorded in
-    [dir/MANIFEST.json] are skipped without rendering, and the remaining
-    shards come out byte-identical to an uninterrupted run (rendering is
-    deterministic per shard).  [run_id] must encode everything that changes
-    the bytes (seed, scale, chunk size, compression).  [interrupt] is
-    polled before every shard and every tile window.
-
-    Tables larger than [chunk_rows] rows never materialize a whole-table
-    template: their shards are single tiles (the layout guarantees it), and
-    each tile streams through per-chunk templates built over
-    {!Chunk_plan.ranges} row windows — resident bytes stay O(chunk) per
-    pipeline slot while the concatenated output is unchanged.
-
-    @raise Mirage_engine.Sink.Io_failure on I/O errors (no temp files left
-    behind).
-    @raise Invalid_argument if [copies < 1] or [chunk_rows < 1]. *)
-
-(** {2 Live (per-table) export}
-
-    The overlapped pipeline scheduler ({!Driver.config.schedule}) exports a
-    table the moment its last FK edge commits, while other tables still
-    generate.  These four calls decompose {!to_csv_chunked} into an open /
-    export-table / finish protocol with an abort hook for dead generation
-    attempts; composing them sequentially over the schema is exactly
-    [to_csv_chunked] — same shard layout, manifest and bytes. *)
+    The chunked variant of {!to_csv_dir}, written as an open /
+    export-table / finish protocol so the overlapped pipeline scheduler
+    ({!Driver.config.schedule}) can export a table the moment its last FK
+    edge commits, while other tables still generate.  Calling
+    {!finish_csv_export} right after {!open_csv_export} exports the whole
+    database after generation; either way the shard layout, manifest and
+    bytes are the same. *)
 
 type live_export
 (** An open chunked-export run accepting tables one at a time. *)
@@ -125,22 +77,54 @@ val open_csv_export :
   unit ->
   live_export
 (** Open the sink (creating [dir], loading the manifest under [~resume])
-    before generation starts.  Parameters mean exactly what they mean on
-    {!to_csv_chunked}.  The shard layout is computed lazily at the first
-    {!export_table} call — row counts are final once key generation
-    starts.
+    before generation starts.  The shard layout is computed lazily at the
+    first {!export_table} or {!finish_csv_export} call — row counts are
+    final once key generation starts.
+
+    Each table is emitted as shard files [<table>.csv.0], [<table>.csv.1],
+    … of at most [chunk_rows] rows' worth of tiles each (at least one tile
+    per shard), through a {!Mirage_engine.Sink} run — temp file + atomic
+    rename + manifest checkpoint per shard.  Shard 0 carries the CSV
+    header, so concatenating a table's shards in index order reproduces the
+    monolithic [to_csv_dir] file byte-for-byte.  Each worker slot of [pool]
+    claims whole shards from a shared queue and streams its shard through
+    its own exclusive {!Mirage_engine.Sink.write_shard}, so N domains keep
+    N shard files open and write concurrently; the manifest's [seq] field
+    keeps concatenation order deterministic.
+
+    With [~compress:true] every shard is a gzip member named
+    [<table>.csv.<k>.gz] ({!Mirage_engine.Gz}); concatenating a table's
+    shards yields a valid multi-member gzip file whose decompression is the
+    monolithic CSV, and the manifest records both raw and compressed sizes.
+
+    With [~resume:true] and a matching [run_id], shards recorded in
+    [dir/MANIFEST.json] are skipped without rendering, and the remaining
+    shards come out byte-identical to an uninterrupted run (rendering is
+    deterministic per shard).  [run_id] must encode everything that changes
+    the bytes (seed, scale, chunk size, compression).  [interrupt] is
+    polled before every claimed shard and every tile or row window, so a
+    budget breach aborts mid-shard leaving only committed, size-verified
+    shards in the manifest and no temp files.
+
+    Tables larger than [chunk_rows] rows never materialize a whole-table
+    template: their shards are single tiles (the layout guarantees it), and
+    each tile streams through per-chunk templates built over
+    {!Chunk_plan.ranges} row windows — resident bytes stay O(chunk) per
+    worker while the concatenated output is unchanged.
+
     @raise Invalid_argument if [copies < 1] or [chunk_rows < 1]. *)
 
 val export_table : live_export -> db:Mirage_engine.Db.t -> string -> unit
 (** Render and commit every shard of one table (skipping shards the
     manifest already has).  Idempotent — a table already exported (or
     currently exporting) is skipped — and safe to call concurrently from
-    pool tasks: each call owns its render buffers and template; shared
+    pool tasks: each call owns its render buffers and templates; shared
     bookkeeping is mutex-protected.  The table's columns must be final
     when called (the driver's [on_table_ready] guarantees it).  On an
     exception the claim is released so a later call (the finish pass)
     retries the table.
-    @raise Mirage_engine.Sink.Io_failure on I/O errors. *)
+    @raise Mirage_engine.Sink.Io_failure on I/O errors (no temp files left
+    behind). *)
 
 val abort_csv_export : live_export -> unit
 (** Retract every shard committed by this generation attempt — delete the
@@ -152,41 +136,18 @@ val abort_csv_export : live_export -> unit
 
 val finish_csv_export :
   live_export -> db:Mirage_engine.Db.t -> chunk_report
-(** Export whatever tables were never claimed (or were released by a
-    failure), remove surplus shards from earlier runs with different chunk
-    counts, mark the manifest complete and return the report.  After this
-    the concatenation contract of {!to_csv_chunked} holds verbatim. *)
-
-val to_csv_sharded :
-  ?pool:Mirage_par.Par.pool ->
-  ?backend:Mirage_engine.Sink.backend ->
-  ?resume:bool ->
-  ?compress:bool ->
-  ?interrupt:(unit -> unit) ->
-  db:Mirage_engine.Db.t ->
-  copies:int ->
-  chunk_rows:int ->
-  dir:string ->
-  run_id:string ->
-  unit ->
-  chunk_report
-(** Domain-owned sharded export: the same shard layout, names, manifest
-    order and concatenation bytes as {!to_csv_chunked} with identical
-    arguments, but each worker domain claims whole shards from a shared
-    queue and streams its shard through its own exclusive
-    {!Mirage_engine.Sink.write_shard} — N domains keep N shard files open
-    and write concurrently, eliminating the tile pipeline's serial drain.
-    Commit bookkeeping is mutex-protected inside the sink; the manifest's
-    [seq] field keeps concatenation order deterministic, so [--resume] and
-    post-hoc concatenation behave exactly as in the chunked writer.
-    [interrupt] is polled per claimed shard and per tile, so a budget
-    breach aborts mid-shard leaving only committed, size-verified shards in
-    the manifest and no temp files. *)
+(** Export every table never claimed (or released by a failure) through
+    one shared shard queue, remove stale shards left by earlier runs (a
+    different chunk count, or the other compression form), mark the
+    manifest complete and return the report.  After this the concatenation
+    contract of {!open_csv_export} holds verbatim.
+    @raise Mirage_engine.Sink.Io_failure on I/O errors (no temp files left
+    behind). *)
 
 val csv_bytes :
   ?chunk_rows:int -> db:Mirage_engine.Db.t -> copies:int -> unit -> int
 (** Exact byte size of the CSV export ({!to_csv_dir} or, equivalently, the
-    concatenated {!to_csv_chunked} shards) without rendering it: template
+    concatenated chunked-export shards) without rendering it: template
     fixed bytes per tile plus the decimal width of every spliced key.
     Templates are built one [chunk_rows] row window at a time (default
     {!Mirage_engine.Col.big_rows}), so the count itself runs in O(chunk)

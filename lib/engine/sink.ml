@@ -68,15 +68,16 @@ let faulty f inner =
     bk_close = inner.bk_close;
     bk_rename =
       (fun ~src ~dst ->
+        (* take a ticket before renaming, so concurrent writers cannot both
+           pass the threshold check: exactly [n] renames ever go through *)
+        let k = Atomic.fetch_and_add renames 1 in
         (match f.crash_after_shards with
-        | Some n when Atomic.get renames >= n ->
+        | Some n when k >= n ->
             raise
               (Injected_crash
-                 (Printf.sprintf "simulated kill before committing shard %d"
-                    (Atomic.get renames)))
+                 (Printf.sprintf "simulated kill before committing shard %d" k))
         | _ -> ());
-        inner.bk_rename ~src ~dst;
-        ignore (Atomic.fetch_and_add renames 1));
+        inner.bk_rename ~src ~dst);
     bk_remove = inner.bk_remove;
   }
 

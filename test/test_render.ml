@@ -282,7 +282,8 @@ let test_quote_golden () =
   Sys.remove dir;
   Scale_out.to_csv_dir ~db ~copies:2 ~dir ();
   let update = Sys.getenv_opt "MIRAGE_UPDATE_GOLDENS" <> None in
-  if update then Scale_out.mkdir_p (Filename.concat "goldens" "quote");
+  if update then
+    Mirage_engine.Sink.mkdir_p (Filename.concat "goldens" "quote");
   List.iter
     (fun tname ->
       let got = read_file (Filename.concat dir (tname ^ ".csv")) in

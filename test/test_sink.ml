@@ -215,13 +215,20 @@ let chunk_rows_for db =
   in
   max 1 (largest / 2)
 
+(* the whole chunked export after generation: open, then finish *)
+let export_chunked ?pool ?backend ?resume ?compress ?interrupt ~db ~copies
+    ~chunk_rows ~dir ~run_id () =
+  Scale_out.finish_csv_export ~db
+    (Scale_out.open_csv_export ?pool ?backend ?resume ?compress ?interrupt
+       ~copies ~chunk_rows ~dir ~run_id ())
+
 let check_chunked_identity ~label ~db ~copies ~domains =
   let mono = fresh_dir "mirage_mono" and chunk = fresh_dir "mirage_chunk" in
   Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
   Par.with_pool ~domains (fun pool ->
       let rep =
-        Scale_out.to_csv_chunked ~pool ~db ~copies
-          ~chunk_rows:(chunk_rows_for db) ~dir:chunk ~run_id:label ()
+        export_chunked ~pool ~db ~copies ~chunk_rows:(chunk_rows_for db)
+          ~dir:chunk ~run_id:label ()
       in
       Alcotest.(check int) (label ^ ": nothing resumed") 0 rep.Scale_out.cr_resumed);
   List.iter
@@ -249,8 +256,8 @@ let check_crash_resume ~label ~db ~copies ~domains ~crash_after =
             Sink.os_backend
         in
         match
-          Scale_out.to_csv_chunked ~pool ~backend ~db ~copies ~chunk_rows
-            ~dir:chunk ~run_id ()
+          export_chunked ~pool ~backend ~db ~copies ~chunk_rows ~dir:chunk
+            ~run_id ()
         with
         | _ -> false
         | exception Sink.Injected_crash _ -> true)
@@ -259,8 +266,8 @@ let check_crash_resume ~label ~db ~copies ~domains ~crash_after =
   (* run 2: resume from the manifest, clean backend *)
   Par.with_pool ~domains (fun pool ->
       let rep =
-        Scale_out.to_csv_chunked ~pool ~resume:true ~db ~copies ~chunk_rows
-          ~dir:chunk ~run_id ()
+        export_chunked ~pool ~resume:true ~db ~copies ~chunk_rows ~dir:chunk
+          ~run_id ()
       in
       Alcotest.(check int)
         (label ^ ": committed prefix resumed")
@@ -335,16 +342,30 @@ let test_sql_chunked_identity () =
   rm_rf mono;
   rm_rf chunk
 
-(* --- domain-owned sharded writer ------------------------------------------- *)
+(* --- concurrent per-table exports ----------------------------------------- *)
 
+(* every table exported by its own concurrent [export_table] call, as the
+   overlapped scheduler does, then [finish]: the nested shard regions share
+   one pool and the result must equal the monolithic writer *)
 let check_sharded_identity ~label ~db ~copies ~domains =
   let mono = fresh_dir "mirage_mono" and shard = fresh_dir "mirage_shard" in
   Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
   Par.with_pool ~domains (fun pool ->
-      let rep =
-        Scale_out.to_csv_sharded ~pool ~db ~copies
+      let h =
+        Scale_out.open_csv_export ~pool ~copies
           ~chunk_rows:(chunk_rows_for db) ~dir:shard ~run_id:label ()
       in
+      let tables = Array.of_list (table_names db) in
+      Par.run pool (Array.length tables) (fun i ->
+          Scale_out.export_table h ~db tables.(i));
+      List.iter
+        (fun t ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s exported before finish" label t)
+            true
+            (Sys.file_exists (Filename.concat shard (t ^ ".csv.0"))))
+        (table_names db);
+      let rep = Scale_out.finish_csv_export h ~db in
       Alcotest.(check int) (label ^ ": nothing resumed") 0 rep.Scale_out.cr_resumed);
   List.iter
     (fun t ->
@@ -393,15 +414,12 @@ let concat_gz_shards dir tname =
   in
   go 0 ""
 
-let check_gzip_roundtrip ~label ~db ~copies ~domains ~sharded =
+let check_gzip_roundtrip ~label ~db ~copies ~domains =
   let mono = fresh_dir "mirage_mono" and gzd = fresh_dir "mirage_gzd" in
   Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
-  let export =
-    if sharded then Scale_out.to_csv_sharded else Scale_out.to_csv_chunked
-  in
   Par.with_pool ~domains (fun pool ->
       ignore
-        (export ~pool ~compress:true ~db ~copies
+        (export_chunked ~pool ~compress:true ~db ~copies
            ~chunk_rows:(chunk_rows_for db) ~dir:gzd ~run_id:label ()));
   List.iter
     (fun t ->
@@ -424,15 +442,11 @@ let test_workload_gzip name make ~sf () =
   List.iter
     (fun domains ->
       check_gzip_roundtrip
-        ~label:(Printf.sprintf "%s gz sharded domains=%d" name domains)
-        ~db ~copies:3 ~domains ~sharded:true)
-    [ 1; 2; 4 ];
-  (* the single-drain writer compresses to the same bytes *)
-  check_gzip_roundtrip
-    ~label:(name ^ " gz drain")
-    ~db ~copies:3 ~domains:2 ~sharded:false
+        ~label:(Printf.sprintf "%s gz domains=%d" name domains)
+        ~db ~copies:3 ~domains)
+    [ 1; 2; 4 ]
 
-(* --- budget breach racing the domain-owned writers ------------------------- *)
+(* --- budget breach racing the per-domain shard writers -------------------- *)
 
 let test_budget_race_sharded () =
   let _, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
@@ -457,8 +471,8 @@ let test_budget_race_sharded () =
       let tripped =
         Par.with_pool ~domains (fun pool ->
             match
-              Scale_out.to_csv_sharded ~pool ~interrupt ~db ~copies ~chunk_rows
-                ~dir ~run_id ()
+              export_chunked ~pool ~interrupt ~db ~copies ~chunk_rows ~dir
+                ~run_id ()
             with
             | _ -> false
             | exception Budget.Exceeded _ -> true)
@@ -487,8 +501,8 @@ let test_budget_race_sharded () =
       Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
       Par.with_pool ~domains (fun pool ->
           let rep =
-            Scale_out.to_csv_sharded ~pool ~resume:true ~db ~copies ~chunk_rows
-              ~dir ~run_id ()
+            export_chunked ~pool ~resume:true ~db ~copies ~chunk_rows ~dir
+              ~run_id ()
           in
           Alcotest.(check int)
             (label ^ ": committed shards resumed")
@@ -504,6 +518,61 @@ let test_budget_race_sharded () =
       rm_rf mono;
       rm_rf dir)
     [ 1; 2; 4 ]
+
+(* --- stale shards of the other compression form --------------------------- *)
+
+(* a gzip export and then a raw one into the same directory (and the
+   reverse) must leave exactly the second run's manifest shards: the sweep
+   removes every shard of the form not being written, not only indices past
+   the new shard count.  Deleting each table's first-run shard 0 leaves the
+   gap a killed run of concurrent writers can leave behind. *)
+let test_other_form_swept () =
+  let _, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
+  let db = r.Driver.r_db in
+  let form compress = if compress then "gzip" else "raw" in
+  List.iter
+    (fun (first, second) ->
+      let label = form first ^ " then " ^ form second in
+      let dir = fresh_dir "mirage_forms" in
+      let run compress =
+        ignore
+          (export_chunked ~compress ~db ~copies:3
+             ~chunk_rows:(chunk_rows_for db) ~dir ~run_id:(form compress) ())
+      in
+      run first;
+      let gaps =
+        List.filter
+          (fun t ->
+            let shard k =
+              Filename.concat dir
+                (Printf.sprintf "%s.csv.%d%s" t k (if first then ".gz" else ""))
+            in
+            Sys.file_exists (shard 1)
+            && begin
+                 Sys.remove (shard 0);
+                 true
+               end)
+          (table_names db)
+      in
+      Alcotest.(check bool) (label ^ ": gap left") true (gaps <> []);
+      run second;
+      let committed =
+        Sink.completed (Sink.create ~resume:true ~dir ~run_id:(form second) ())
+        |> List.map (fun (sh : Sink.shard) -> sh.Sink.sh_name)
+        |> List.sort compare
+      in
+      let on_disk =
+        Array.to_list (Sys.readdir dir)
+        |> List.filter (fun f ->
+               f <> Filename.basename (Sink.manifest_path ~dir))
+        |> List.sort compare
+      in
+      Alcotest.(check bool) (label ^ ": shards written") true (committed <> []);
+      Alcotest.(check (list string))
+        (label ^ ": only the manifest's shards remain")
+        committed on_disk;
+      rm_rf dir)
+    [ (true, false); (false, true) ]
 
 (* --- big-column backend is representation-blind ---------------------------- *)
 
@@ -561,7 +630,7 @@ let test_export_deadline_no_orphans () =
   in
   let tripped =
     match
-      Scale_out.to_csv_chunked
+      export_chunked
         ~interrupt:(fun () -> Budget.check token)
         ~db ~copies:2 ~chunk_rows:100 ~dir ~run_id:"dl" ()
     with
@@ -623,6 +692,8 @@ let () =
             (test_workload_gzip "tpch" Mirage_workloads.Tpch.make ~sf:0.05);
           Alcotest.test_case "big-column backend is representation-blind" `Slow
             test_big_rows_representation_blind;
+          Alcotest.test_case "other compression form swept, both directions"
+            `Slow test_other_form_swept;
         ] );
       ( "budget",
         [

@@ -58,7 +58,7 @@ let export db dir = Scale_out.to_csv_dir ~db ~copies:1 ~dir ()
 let largest_table db =
   List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (table_names db)
 
-(* --- unit: chunk plans ----------------------------------------------------- *)
+(* --- unit: chunk ranges --------------------------------------------------- *)
 
 let test_chunk_plan_ranges () =
   Alcotest.(check (list (pair int int)))
@@ -73,38 +73,6 @@ let test_chunk_plan_ranges () =
   Alcotest.check_raises "chunk_rows 0 rejected"
     (Invalid_argument "Chunk_plan: chunk_rows must be >= 1") (fun () ->
       ignore (Chunk_plan.ranges ~rows:10 ~chunk_rows:0))
-
-let test_chunk_plan_covers () =
-  let t = Chunk_plan.make ~table:"t" ~rows:100 ~chunk_rows:33 in
-  Alcotest.(check int) "chunk count" 4 (Chunk_plan.n_chunks t);
-  let covered = ref 0 and next_lo = ref 0 in
-  Chunk_plan.iter t (fun c ->
-      Alcotest.(check int) "contiguous" !next_lo c.Chunk_plan.c_lo;
-      covered := !covered + c.Chunk_plan.c_rows;
-      next_lo := c.Chunk_plan.c_lo + c.Chunk_plan.c_rows);
-  Alcotest.(check int) "covers every row exactly once" 100 !covered
-
-(* driver-side plans: one per table, covering the generated row counts *)
-let test_driver_plans () =
-  let r = generate ~chunk_rows:37 Mirage_workloads.Ssb.make ~sf:0.05 in
-  let db = r.Driver.r_db in
-  Alcotest.(check int)
-    "one plan per table"
-    (List.length (table_names db))
-    (List.length r.Driver.r_chunk_plans);
-  List.iter
-    (fun (p : Chunk_plan.t) ->
-      let covered = ref 0 in
-      Chunk_plan.iter p (fun c -> covered := !covered + c.Chunk_plan.c_rows);
-      Alcotest.(check int)
-        (p.Chunk_plan.cp_table ^ " plan covers the table")
-        (Db.row_count db p.Chunk_plan.cp_table)
-        !covered)
-    r.Driver.r_chunk_plans;
-  let mono = generate Mirage_workloads.Ssb.make ~sf:0.05 in
-  Alcotest.(check int)
-    "monolithic run has no plans" 0
-    (List.length mono.Driver.r_chunk_plans)
 
 (* --- streamed = monolithic byte identity ----------------------------------- *)
 
@@ -173,8 +141,9 @@ let test_stream_crash_resume () =
                 Sink.os_backend
             in
             match
-              Scale_out.to_csv_chunked ~pool ~backend ~db ~copies:1 ~chunk_rows
-                ~dir:dir_c ~run_id ()
+              Scale_out.finish_csv_export ~db
+                (Scale_out.open_csv_export ~pool ~backend ~copies:1 ~chunk_rows
+                   ~dir:dir_c ~run_id ())
             with
             | _ -> false
             | exception Sink.Injected_crash _ -> true)
@@ -182,8 +151,9 @@ let test_stream_crash_resume () =
       Alcotest.(check bool) "run 1 crashed" true crashed;
       Par.with_pool ~domains:2 (fun pool ->
           let rep =
-            Scale_out.to_csv_chunked ~pool ~resume:true ~db ~copies:1
-              ~chunk_rows ~dir:dir_c ~run_id ()
+            Scale_out.finish_csv_export ~db
+              (Scale_out.open_csv_export ~pool ~resume:true ~copies:1
+                 ~chunk_rows ~dir:dir_c ~run_id ())
           in
           Alcotest.(check int) "committed prefix resumed" 2
             rep.Scale_out.cr_resumed));
@@ -219,9 +189,6 @@ let () =
       ( "plans",
         [
           Alcotest.test_case "chunk ranges" `Quick test_chunk_plan_ranges;
-          Alcotest.test_case "plan covers table" `Quick test_chunk_plan_covers;
-          Alcotest.test_case "driver emits per-table plans" `Slow
-            test_driver_plans;
         ] );
       ( "identity",
         [
