@@ -6,7 +6,6 @@ type config = {
   batch_size : int;  (** rows per generation batch (§8 "Setting") *)
   sample_size : int;  (** ACC sample size (default: Hoeffding for δ=0.1%, α=99.9%) *)
   cp_max_nodes : int;
-  latency_repeat : int;
   domains : int;
       (** width of the domain pool driving the parallel regions (CDF
           fan-out, per-table non-key instantiation, keygen CS/PF, scale-out

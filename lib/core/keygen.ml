@@ -403,27 +403,6 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
          This removes the x–d coupling from the search. *)
       let t1 = now () in
       let np_s = Array.length s_partitions and np_t = Array.length t_partitions in
-      let debug = Sys.getenv_opt "MIRAGE_DEBUG" <> None in
-      if debug then begin
-        Printf.eprintf "edge %s.%s batch %d: %d S-parts %d T-parts\n" t_table
-          edge.Ir.e_fk_col b np_s np_t;
-        Array.iteri
-          (fun i (sv, pks, cur) ->
-            Printf.eprintf "  S[%d] vec=%d size=%d cursor=%d\n" i sv
-              (Col.Ivec.length pks) !cur)
-          s_partitions;
-        Array.iteri
-          (fun j (tv, rows) ->
-            Printf.eprintf "  T[%d] vec=%d size=%d\n" j tv (Array.length rows))
-          t_partitions;
-        for k = 0 to m - 1 do
-          Printf.eprintf "  k=%d (%s) jcc_b=%s jdc_b=%s vr_b=%d\n" k
-            constraints.(k).Ir.jc_source
-            (match jcc_batch.(k) with Some x -> string_of_int x | None -> "-")
-            (match jdc_batch.(k) with Some x -> string_of_int x | None -> "-")
-            batch_vr.(k)
-        done
-      end;
       let jdc_pair i j =
         let sv, _, _ = s_partitions.(i) and tv, _ = t_partitions.(j) in
         let found = ref false in
@@ -1039,37 +1018,6 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
             done
         | (Cp.Unsat | Cp.Unknown), st ->
             record_stats st;
-            if debug then begin
-                for i = 0 to np_s - 1 do
-                  let sv, pks, cursor = s_partitions.(i) in
-                  let pos = ref [] in
-                  for j = 0 to np_t - 1 do
-                    if xsol.(i).(j) > 0 && jdc_pair i j then
-                      pos := (j, xsol.(i).(j)) :: !pos
-                  done;
-                  Printf.eprintf "  S[%d] vec=%d pool=%d posjdc=[%s]\n" i sv
-                    (Col.Ivec.length pks - !cursor)
-                    (String.concat ","
-                       (List.map (fun (j, x) -> Printf.sprintf "T%d:%d" j x) !pos))
-                done;
-                for k = 0 to m - 1 do
-                  match jdc_batch.(k) with
-                  | Some target ->
-                      let lo_sum = ref 0 and hi_sum = ref 0 in
-                      List.iter
-                        (fun (i, j) ->
-                          if jdc_pair i j then begin
-                            let _, pks, cursor = s_partitions.(i) in
-                            let x = xsol.(i).(j) in
-                            if x > 0 then incr lo_sum;
-                            hi_sum := !hi_sum + min x (Col.Ivec.length pks - !cursor)
-                          end)
-                        (pairs_of k);
-                      Printf.eprintf "  k=%d jdc=%d achievable=[%d,%d]\n" k target
-                        !lo_sum !hi_sum
-                  | None -> ()
-                done
-              end;
             apply_greedy ()
       end;
       times.t_cp <- times.t_cp +. (now () -. t1);

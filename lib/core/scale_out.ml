@@ -155,33 +155,71 @@ let emit_tile buf tpl ~tile =
 
 let csv_header names = String.concat "," (List.map Render.csv_escape names)
 
+(* The one claim loop behind every CSV export: each worker slot of [pool]
+   owns one render buffer and claims items [0 .. n-1], in order, from a
+   shared counter until they run out.  The first failure stops further
+   claims; items already claimed finish or fail on their own, and the
+   failure re-raises after the region drains. *)
+let claim_loop pool n body =
+  let next = Atomic.make 0 and stopped = Atomic.make false in
+  if n > 0 then
+    Par.run_workers pool (fun slot ->
+        let buf = Render.Buf.create (1 lsl 16) in
+        try
+          let continue = ref true in
+          while !continue do
+            let i = Atomic.fetch_and_add next 1 in
+            if i >= n || Atomic.get stopped then continue := false
+            else body ~slot ~buf i
+          done
+        with e ->
+          Atomic.set stopped true;
+          raise e)
+
+(* Tile [t] of a table is spliced into the claiming worker's buffer, then
+   appended to the table's one channel once [turn] reaches [t], so the file
+   is written strictly in tile order whatever the domain count.  A worker
+   claims its next tile only after writing this one: at most [Par.size
+   pool] tiles are resident.  A failed render or write is published in
+   [failed] before it re-raises, so every worker waiting for a turn that
+   will never come re-raises it too instead of blocking. *)
 let to_csv_dir ?(pool = Par.sequential) ~db ~copies ~dir () =
   if copies < 1 then invalid_arg "Scale_out.to_csv_dir: copies must be >= 1";
   Sink.mkdir_p dir;
-  let schema = Db.schema db in
-  (* one reused buffer per pipeline slot ([Par.tile_slots], the pipeline's
-     bounded lookahead): tiles splice in parallel from the shared template,
-     the writer drains them in tile order while later tiles keep rendering,
-     so the bytes on disk are identical to a sequential writer's and memory
-     stays at one lookahead of tiles regardless of [copies] *)
-  let bufs =
-    Array.init (Par.tile_slots pool) (fun _ -> Render.Buf.create (1 lsl 16))
-  in
   List.iter
     (fun (tbl : Schema.table) ->
-      let tname = tbl.Schema.tname in
       let tpl = build_template db tbl in
-      let oc = open_out (Filename.concat dir (tname ^ ".csv")) in
-      output_string oc (csv_header (Schema.column_names tbl));
-      output_char oc '\n';
-      Par.iter_tiles pool ~tiles:copies
-        ~render:(fun ~slot ~tile ->
-          let buf = bufs.(slot) in
-          emit_tile buf tpl ~tile;
-          buf)
-        ~write:(fun ~tile:_ buf -> Render.Buf.output oc buf);
-      close_out oc)
-    (Schema.tables schema)
+      let oc = open_out (Filename.concat dir (tbl.Schema.tname ^ ".csv")) in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc (csv_header (Schema.column_names tbl));
+          output_char oc '\n';
+          let m = Mutex.create () and cv = Condition.create () in
+          let turn = ref 0 and failed = ref None in
+          claim_loop pool copies (fun ~slot:_ ~buf tile ->
+              try
+                emit_tile buf tpl ~tile;
+                Mutex.lock m;
+                while !turn <> tile && Option.is_none !failed do
+                  Condition.wait cv m
+                done;
+                let err = !failed in
+                Mutex.unlock m;
+                Option.iter raise err;
+                Render.Buf.output oc buf;
+                Mutex.lock m;
+                incr turn;
+                Condition.broadcast cv;
+                Mutex.unlock m
+              with e ->
+                Mutex.lock m;
+                if Option.is_none !failed then failed := Some e;
+                Condition.broadcast cv;
+                Mutex.unlock m;
+                raise e);
+          close_out oc))
+    (Schema.tables (Db.schema db))
 
 (* --- crash-safe chunked export ---------------------------------------------
 
@@ -446,25 +484,10 @@ let render_tables h ~db tnames =
           && not (Hashtbl.mem tpls tname)
         then Hashtbl.replace tpls tname (build_template db u.u_table))
       pending;
-    let next = Atomic.make 0 and stopped = Atomic.make false in
-    if Array.length pending > 0 then
-      Par.run_workers h.le_pool (fun slot ->
-          let buf = Render.Buf.create (1 lsl 16) in
-          try
-            let continue = ref true in
-            while !continue do
-              let i = Atomic.fetch_and_add next 1 in
-              if i >= Array.length pending || Atomic.get stopped then
-                continue := false
-              else begin
-                h.le_interrupt ();
-                render_unit h ~db ~buf ~tpls pending.(i);
-                written.(slot) <- pending.(i).u_name :: written.(slot)
-              end
-            done
-          with e ->
-            Atomic.set stopped true;
-            raise e);
+    claim_loop h.le_pool (Array.length pending) (fun ~slot ~buf i ->
+        h.le_interrupt ();
+        render_unit h ~db ~buf ~tpls pending.(i);
+        written.(slot) <- pending.(i).u_name :: written.(slot));
     List.iter
       (fun tname ->
         remove_surplus_shards ~dir:h.le_dir ~compress:h.le_compress tname
@@ -524,15 +547,9 @@ let decimal_width x =
     !n
   end
 
-let csv_bytes ?chunk_rows ~db ~copies () =
+let csv_bytes ~db ~copies () =
   if copies < 1 then invalid_arg "Scale_out.csv_bytes: copies must be >= 1";
-  let chunk_rows =
-    match chunk_rows with
-    | Some c ->
-        if c < 1 then invalid_arg "Scale_out.csv_bytes: chunk_rows must be >= 1";
-        c
-    | None -> Col.big_rows ()
-  in
+  let chunk_rows = Col.big_rows () in
   List.fold_left
     (fun acc (tbl : Schema.table) ->
       let rows = Db.row_count db tbl.Schema.tname in
@@ -569,7 +586,8 @@ let csv_bytes ?chunk_rows ~db ~copies () =
    The pre-template per-cell renderer, kept verbatim (same per-cell
    [string_of_int] allocation profile) with only the cell formatting policy
    updated to the shared kernel's, so the differential tests and the [emit]
-   benchmark compare templated splicing against exactly what it replaced. *)
+   benchmark compare templated splicing against exactly what it replaced.
+   It writes with a plain sequential loop: an oracle with no concurrency. *)
 module Reference = struct
   let add_cell buf = function
     | Value.Null -> ()
@@ -640,28 +658,22 @@ module Reference = struct
       Buffer.add_char buf '\n'
     done
 
-  let to_csv_dir ?(pool = Par.sequential) ~db ~copies ~dir () =
+  let to_csv_dir ~db ~copies ~dir () =
     if copies < 1 then
       invalid_arg "Scale_out.Reference.to_csv_dir: copies must be >= 1";
     Sink.mkdir_p dir;
-    let schema = Db.schema db in
-    let bufs =
-      Array.init (Par.tile_slots pool) (fun _ -> Buffer.create (1 lsl 16))
-    in
+    let buf = Buffer.create (1 lsl 16) in
     List.iter
       (fun (tbl : Schema.table) ->
-        let tname = tbl.Schema.tname in
-        let oc = open_out (Filename.concat dir (tname ^ ".csv")) in
+        let oc = open_out (Filename.concat dir (tbl.Schema.tname ^ ".csv")) in
         output_string oc (csv_header (Schema.column_names tbl));
         output_char oc '\n';
-        Par.iter_tiles pool ~tiles:copies
-          ~render:(fun ~slot ~tile ->
-            let buf = bufs.(slot) in
-            render_tile buf db tbl ~tile;
-            buf)
-          ~write:(fun ~tile:_ buf -> Buffer.output_buffer oc buf);
+        for tile = 0 to copies - 1 do
+          render_tile buf db tbl ~tile;
+          Buffer.output_buffer oc buf
+        done;
         close_out oc)
-      (Schema.tables schema)
+      (Schema.tables (Db.schema db))
 end
 
 (* [copies] tiles of one stored column as a single typed column;

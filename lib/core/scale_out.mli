@@ -9,8 +9,8 @@
     database; non-key domain sizes stay at the base size (value multisets are
     repeated).
 
-    Tiles are produced one window at a time, so writing CSVs needs memory
-    proportional to one window of tiles regardless of the target size.
+    Tiles are produced a few at a time, so writing CSVs needs memory
+    proportional to one tile per domain regardless of the target size.
 
     {2 Templated rendering}
 
@@ -21,7 +21,7 @@
     {!Mirage_engine.Render.Buf.itoa} of the shifted keys, so per-tile cost is
     O(bytes + rows·key_cols) with zero per-cell allocation, instead of
     re-rendering O(rows·cols) cells through [string_of_int].  Templates are
-    immutable and shared read-only across the pipeline's domains.  Output is
+    immutable and shared read-only across the exporting domains.  Output is
     byte-identical to the per-cell {!Reference} renderer for every domain
     count and copy count. *)
 
@@ -33,13 +33,18 @@ val to_csv_dir :
   unit ->
   unit
 (** Writes [<table>.csv] per table with [copies] tiles each, creating [dir]
-    (and missing parents) if needed.  Tiles are spliced from a per-table
-    line template in parallel on [pool] (one domain per tile, each into a
-    reused buffer) and written sequentially in tile order, so the output
-    bytes are independent of the domain count.  Cells follow the shared
-    render-kernel policy: RFC-4180 quoting only where required, round-trip
-    floats ({!Mirage_engine.Render.float_repr}).
-    @raise Invalid_argument if [copies < 1]. *)
+    (and missing parents) if needed.  Tables go one at a time.  Within a
+    table, each worker slot of [pool] claims tiles from a shared counter
+    (the same claim loop as the chunked export), splices its tile from the
+    table's line template into its own buffer, and appends it to the
+    table's file when every earlier tile has been written.  So the output
+    bytes are independent of the domain count, and at most one tile per
+    domain is resident.  Cells follow the shared render-kernel policy:
+    RFC-4180 quoting only where required, round-trip floats
+    ({!Mirage_engine.Render.float_repr}).
+    @raise Invalid_argument if [copies < 1].
+    @raise Sys_error on an I/O error; no domain is left waiting, and the
+    file being written is closed. *)
 
 type chunk_report = {
   cr_shards : int;  (** shard files the export comprises, across tables *)
@@ -144,30 +149,25 @@ val finish_csv_export :
     @raise Mirage_engine.Sink.Io_failure on I/O errors (no temp files left
     behind). *)
 
-val csv_bytes :
-  ?chunk_rows:int -> db:Mirage_engine.Db.t -> copies:int -> unit -> int
+val csv_bytes : db:Mirage_engine.Db.t -> copies:int -> unit -> int
 (** Exact byte size of the CSV export ({!to_csv_dir} or, equivalently, the
     concatenated chunked-export shards) without rendering it: template
     fixed bytes per tile plus the decimal width of every spliced key.
-    Templates are built one [chunk_rows] row window at a time (default
-    {!Mirage_engine.Col.big_rows}), so the count itself runs in O(chunk)
-    heap on enormous tables.  The bench harness derives its MB/s from
-    this, uniformly across experiments.
-    @raise Invalid_argument if [copies < 1] or [chunk_rows < 1]. *)
+    Templates are built one {!Mirage_engine.Col.big_rows} row window at a
+    time, so the count itself runs in O(window) heap on enormous tables.
+    The bench harness derives its MB/s from this, uniformly across
+    experiments.
+    @raise Invalid_argument if [copies < 1]. *)
 
 module Reference : sig
   val to_csv_dir :
-    ?pool:Mirage_par.Par.pool ->
-    db:Mirage_engine.Db.t ->
-    copies:int ->
-    dir:string ->
-    unit ->
-    unit
+    db:Mirage_engine.Db.t -> copies:int -> dir:string -> unit -> unit
   (** The pre-template renderer: every cell of every tile re-rendered
-      through per-cell allocating conversions.  Kept as the differential
-      oracle for the byte-identity tests and as the baseline the [emit]
+      through per-cell allocating conversions, written by a plain
+      sequential loop.  Kept as the differential oracle for the
+      byte-identity tests and as the sequential baseline the [emit]
       benchmark measures the templated engine against.  Same output bytes,
-      same pipeline, same escaping policy. *)
+      same escaping policy. *)
 end
 
 val tile_db : db:Mirage_engine.Db.t -> copies:int -> Mirage_engine.Db.t

@@ -185,32 +185,26 @@ and all ~env = function
 
 (* --- plans ------------------------------------------------------------------- *)
 
-let fresh =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Printf.sprintf "q%d" !n
-
 (* renders a plan as something usable in a FROM clause *)
-let rec relation_sql ~env ~schema plan =
+let rec relation_sql ~fresh ~env ~schema plan =
   match plan with
   | Plan.Table t -> Ok t
   | _ ->
-      let* s = select_sql ~env ~schema plan in
+      let* s = select_sql ~fresh ~env ~schema plan in
       Ok ("(" ^ s ^ ") " ^ fresh ())
 
-and select_sql ~env ~schema plan =
+and select_sql ~fresh ~env ~schema plan =
   match plan with
   | Plan.Table t -> Ok ("SELECT * FROM " ^ t)
   | Plan.Select (p, q) ->
-      let* rel = relation_sql ~env ~schema q in
+      let* rel = relation_sql ~fresh ~env ~schema q in
       let* w = pred_sql ~env p in
       Ok (Printf.sprintf "SELECT * FROM %s WHERE %s" rel w)
   | Plan.Project { cols; input } ->
-      let* rel = relation_sql ~env ~schema input in
+      let* rel = relation_sql ~fresh ~env ~schema input in
       Ok (Printf.sprintf "SELECT DISTINCT %s FROM %s" (String.concat ", " cols) rel)
   | Plan.Aggregate { group_by; aggs; input } ->
-      let* rel = relation_sql ~env ~schema input in
+      let* rel = relation_sql ~fresh ~env ~schema input in
       let agg_exprs =
         List.map
           (fun (f, c) ->
@@ -235,8 +229,8 @@ and select_sql ~env ~schema plan =
              (String.concat ", " group_by))
   | Plan.Join { jt; pk_table; fk_col; left; right; _ } -> (
       let pk_col = (Schema.table schema pk_table).Schema.pk in
-      let* l = relation_sql ~env ~schema left in
-      let* r = relation_sql ~env ~schema right in
+      let* l = relation_sql ~fresh ~env ~schema left in
+      let* r = relation_sql ~fresh ~env ~schema right in
       match jt with
       | Plan.Inner ->
           Ok (Printf.sprintf "SELECT * FROM %s JOIN %s ON %s = %s" l r pk_col fk_col)
@@ -282,7 +276,15 @@ and strip_rel rel =
     String.sub rel 1 (close - 1)
   else "SELECT * FROM " ^ rel
 
-let query_sql plan ~schema ~env = select_sql ~env ~schema plan
+(* aliases are numbered per query, so the text depends only on the plan
+   and the environment, never on what this process rendered before *)
+let query_sql plan ~schema ~env =
+  let n = ref 0 in
+  let fresh () =
+    incr n;
+    Printf.sprintf "q%d" !n
+  in
+  select_sql ~fresh ~env ~schema plan
 
 let export_dir ~db ~workload ~env ~dir =
   Mirage_engine.Sink.mkdir_p dir;

@@ -22,7 +22,9 @@ val query_sql :
   env:Mirage_sql.Pred.Env.t ->
   (string, string) result
 (** The plan rendered as a SELECT statement with the environment's parameter
-    values inlined.  Errors on unbound parameters. *)
+    values inlined.  Subquery aliases are numbered [q1], [q2], … afresh on
+    every call, so equal inputs give equal text.  Errors on unbound
+    parameters. *)
 
 val export_dir :
   db:Mirage_engine.Db.t ->

@@ -252,8 +252,6 @@ module Future = struct
     end;
     fut
 
-  let ready v = { st = Done v; fpool = sequential }
-
   let await fut =
     (* always synchronise through the pool mutex, even when the state is
        already published: awaiting a dependency must also make the dep
@@ -280,114 +278,4 @@ module Future = struct
     in
     Mutex.lock pool.m;
     loop ()
-
-  let is_done fut = match fut.st with Pending -> false | _ -> true
 end
-
-(* --- pipelined tile production ----------------------------------------------
-
-   The old implementation rendered a lock-step window of [domains] tiles,
-   then stalled every renderer behind the sequential writes.  Here tiles
-   flow through a bounded in-order completion queue instead: workers render
-   ahead (claiming tile indices in order), the caller drains finished tiles
-   to [write] strictly in tile order, and a tile may only start rendering
-   when its slot — [tile mod tile_slots] — has been drained, which caps the
-   resident tiles at [tile_slots] and keeps per-slot buffers reusable.
-
-   Invariant making the slot contract safe: tile [t] is claimed only when
-   [t < written + slots], so no two unwritten tiles ever share a slot.  The
-   same invariant rules out deadlock — when nothing is rendering and nothing
-   is claimable, the tile the writer is waiting for is already in [ready]. *)
-
-let tile_slots pool = if pool.domains = 1 then 1 else 2 * pool.domains
-
-let iter_tiles ?(interrupt = fun () -> ()) pool ~tiles ~render ~write =
-  if tiles > 0 then begin
-    if pool.domains = 1 then
-      for t = 0 to tiles - 1 do
-        interrupt ();
-        write ~tile:t (render ~slot:0 ~tile:t)
-      done
-    else begin
-      let slots = tile_slots pool in
-      let m = Mutex.create () and cv = Condition.create () in
-      let ready = Array.make slots None in
-      let next = ref 0 (* next tile to claim for rendering *)
-      and written = ref 0 (* tiles drained to [write] *)
-      and rendering = ref 0 (* renders in flight *)
-      and err = ref None in
-      let cancelled () = !err <> None in
-      (* first failure wins; everyone re-checks [cancelled] on wake-up *)
-      let fail e =
-        if !err = None then err := Some e;
-        Condition.broadcast cv
-      in
-      let can_claim () =
-        (not (cancelled ())) && !next < tiles && !next < !written + slots
-      in
-      (* claim the next tile and render it outside the lock *)
-      let do_render () =
-        let t = !next in
-        incr next;
-        incr rendering;
-        Mutex.unlock m;
-        let r = try Ok (render ~slot:(t mod slots) ~tile:t) with e -> Error e in
-        Mutex.lock m;
-        decr rendering;
-        (match r with
-        | Ok v -> ready.(t mod slots) <- Some (t, v)
-        | Error e -> fail e);
-        Condition.broadcast cv
-      in
-      let helper () =
-        Mutex.lock m;
-        while (not (cancelled ())) && !next < tiles do
-          if can_claim () then do_render () else Condition.wait cv m
-        done;
-        Mutex.unlock m
-      in
-      let helpers = min (pool.domains - 1) (max 0 (tiles - 1)) in
-      Mutex.lock pool.m;
-      for _ = 1 to helpers do
-        Queue.push helper pool.q
-      done;
-      Condition.broadcast pool.work;
-      Mutex.unlock pool.m;
-      (* the caller is the writer: drain finished tiles in order (freeing
-         their slots for renders [slots] tiles ahead), render when the
-         lookahead is open, wait only when neither is possible *)
-      Mutex.lock m;
-      while (not (cancelled ())) && !written < tiles do
-        match ready.(!written mod slots) with
-        | Some (t, v) when t = !written ->
-            ready.(!written mod slots) <- None;
-            Mutex.unlock m;
-            (* cooperative cancellation per tile, not per window: a deadline
-               trips between two tile writes, never mid-write *)
-            let r =
-              try
-                interrupt ();
-                write ~tile:t v;
-                None
-              with e -> Some e
-            in
-            Mutex.lock m;
-            (match r with
-            | None ->
-                incr written;
-                Condition.broadcast cv
-            | Some e -> fail e)
-        | Some _ | None ->
-            if can_claim () then do_render () else Condition.wait cv m
-      done;
-      (* settle before returning or re-raising: no render may be left in
-         flight touching the caller's slot buffers, and the queued helper
-         closures must find nothing to claim *)
-      while !rendering > 0 do
-        Condition.wait cv m
-      done;
-      let e = !err in
-      Mutex.unlock m;
-      match e with Some e -> raise e | None -> ()
-    end
-  end

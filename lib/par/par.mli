@@ -75,7 +75,7 @@ val run_workers : pool -> (int -> unit) -> unit
     executed by fewer domains than [size pool] when a domain finishes one
     slot and claims another, so bodies must pull their actual work items
     from a shared source (an atomic counter) rather than partitioning by
-    [w].  Used by the domain-owned sharded CSV export. *)
+    [w].  Used by the claim loop behind every CSV export. *)
 
 val iter_chunks :
   pool -> ?chunks:int -> ?grain:int -> int -> (int -> int -> unit) -> unit
@@ -123,46 +123,8 @@ module Future : sig
       [f] before returning.  An exception escaping [f] is stored and
       re-raised by every {!await}. *)
 
-  val ready : 'a -> 'a t
-  (** An already-completed future; [await] returns immediately.  Lets DAG
-      nodes with no work share the plumbing of real tasks. *)
-
   val await : 'a t -> 'a
   (** Blocks until the future completes, running queued pool tasks while it
       waits; returns the result or re-raises the task's exception.  May be
       called from multiple domains and any number of times. *)
-
-  val is_done : 'a t -> bool
-  (** Non-blocking completion probe (true for [Raised] results too). *)
 end
-
-val tile_slots : pool -> int
-(** Number of render slots {!iter_tiles} cycles through: [2 × size] (1 for a
-    sequential pool).  Callers allocating per-slot buffers must size their
-    arrays with this, not {!size}. *)
-
-val iter_tiles :
-  ?interrupt:(unit -> unit) ->
-  pool ->
-  tiles:int ->
-  render:(slot:int -> tile:int -> 'b) ->
-  write:(tile:int -> 'b -> unit) ->
-  unit
-(** Pipelined tile production through a bounded in-order completion queue:
-    workers render tiles ahead while the caller drains finished tiles to
-    [write] {e strictly in tile order}, so the output is byte-identical to a
-    sequential loop — but renderers no longer stall behind the writes.  The
-    lookahead is bounded: at most [tile_slots pool] tiles are resident at
-    once, capping memory independently of [tiles].
-
-    [slot] is [tile mod tile_slots pool].  A tile only starts rendering
-    once the previous tile of its slot has been written, so per-slot buffers
-    are safe to reuse across tiles: a buffer filled by [render ~slot] is
-    owned by the pipeline until that tile's [write] returns, and untouched
-    by any other tile in between.
-
-    [interrupt] is a cooperative cancellation point called in the caller
-    before {e every} tile write (not once per window): whatever it raises
-    propagates after in-flight renders settle, with no tile half-written.
-    Exceptions from [render]/[write] propagate the same way; the pool
-    remains usable afterwards. *)

@@ -590,6 +590,24 @@ let test_sql_query_shapes () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unbound parameter accepted"
 
+(* subquery aliases restart per call: the same plan renders the same text
+   whatever the process rendered before *)
+let test_sql_query_aliases_stable () =
+  let env = Pred.Env.of_list [ ("p", Pred.Env.Scalar (Value.Int 3)) ] in
+  let plan =
+    Plan.Join
+      { jt = Plan.Left_semi; pk_table = "s"; fk_table = "t"; fk_col = "t_fk";
+        left = Plan.Table "s";
+        right = Plan.Select (Parser.pred "t1 < $p", Plan.Table "t") }
+  in
+  let render () =
+    match Mirage_core.Sql_export.query_sql plan ~schema ~env with
+    | Ok sql -> sql
+    | Error m -> Alcotest.failf "sql failed: %s" m
+  in
+  let first = render () in
+  Alcotest.(check string) "same plan, same text" first (render ())
+
 (* --- Keygen on the paper's running example (Figs. 8-10) -------------------- *)
 
 let test_keygen_paper_example () =
@@ -917,6 +935,8 @@ let () =
           Alcotest.test_case "ddl" `Quick test_sql_ddl;
           Alcotest.test_case "insert escaping" `Quick test_sql_inserts_escaping;
           Alcotest.test_case "query shapes" `Quick test_sql_query_shapes;
+          Alcotest.test_case "query aliases per call" `Quick
+            test_sql_query_aliases_stable;
         ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest prop_random_applications_regenerate ] );

@@ -151,36 +151,40 @@ let prop_csv_escape_roundtrip =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let render_both ~db ~copies ~domains =
-  let dir_t = Filename.temp_file "mirage_tpl" "" in
-  let dir_r = Filename.temp_file "mirage_ref" "" in
-  Sys.remove dir_t;
-  Sys.remove dir_r;
-  Par.with_pool ~domains (fun pool ->
-      Scale_out.to_csv_dir ~pool ~db ~copies ~dir:dir_t ();
-      Scale_out.Reference.to_csv_dir ~pool ~db ~copies ~dir:dir_r ());
-  let collect dir =
-    let files = Array.to_list (Sys.readdir dir) |> List.sort compare in
-    let all =
-      List.map (fun f -> (f, read_file (Filename.concat dir f))) files
-    in
-    List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
-    Sys.rmdir dir;
-    all
-  in
-  (collect dir_t, collect dir_r)
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  dir
 
-let check_identical ~label ~db ~copies ~domains =
-  let tpl, reference = render_both ~db ~copies ~domains in
+(* every file of [dir] as (name, bytes), sorted; removes the directory *)
+let collect dir =
+  let files = Array.to_list (Sys.readdir dir) |> List.sort compare in
+  let all = List.map (fun f -> (f, read_file (Filename.concat dir f))) files in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+  Sys.rmdir dir;
+  all
+
+let check_same_files ~label ~reference got =
   Alcotest.(check (list string))
     (label ^ ": same file set")
-    (List.map fst reference) (List.map fst tpl);
+    (List.map fst reference) (List.map fst got);
   List.iter2
     (fun (f, want) (_, got) ->
       if not (String.equal want got) then
         Alcotest.failf "%s: %s differs (%d bytes vs %d reference bytes)" label
           f (String.length got) (String.length want))
-    reference tpl
+    reference got
+
+let check_identical_on ~pool ~label ~db ~copies =
+  let dir_t = temp_dir "mirage_tpl" and dir_r = temp_dir "mirage_ref" in
+  Scale_out.to_csv_dir ~pool ~db ~copies ~dir:dir_t ();
+  Scale_out.Reference.to_csv_dir ~db ~copies ~dir:dir_r ();
+  let tpl = collect dir_t in
+  check_same_files ~label ~reference:(collect dir_r) tpl
+
+let check_identical ~label ~db ~copies ~domains =
+  Par.with_pool ~domains (fun pool ->
+      check_identical_on ~pool ~label ~db ~copies)
 
 (* a schema exercising every splice shape: keys (pk + fk, one nullable),
    dictionary strings that need quoting, floats, NULLs and a wide fixed
@@ -338,6 +342,56 @@ let test_workload_identity name make ~sf () =
         [ 1; 3; 16 ])
     [ 1; 2; 4 ]
 
+(* --- failures and rewrites of the claim-loop writer ------------------------ *)
+
+let tpch_db = lazy (generate Mirage_workloads.Tpch.make ~sf:0.05)
+
+(* lineitem.csv is a symlink to /dev/full and one lineitem tile is larger
+   than the channel buffer, so a flush fails while other workers still hold
+   rendered tiles waiting for their turn: the export must raise Sys_error
+   rather than hang, and the same resident pool must then export correct
+   bytes *)
+let test_write_failure () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let db = Lazy.force tpch_db in
+  List.iter
+    (fun domains ->
+      let pool = Par.get ~domains () in
+      let dir = temp_dir "mirage_full" in
+      Sys.mkdir dir 0o755;
+      Unix.symlink "/dev/full" (Filename.concat dir "lineitem.csv");
+      let raised =
+        match Scale_out.to_csv_dir ~pool ~db ~copies:8 ~dir () with
+        | () -> false
+        | exception Sys_error _ -> true
+      in
+      (* never read the files back: reading /dev/full never ends *)
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir;
+      Alcotest.(check bool)
+        (Printf.sprintf "Sys_error at domains=%d" domains)
+        true raised;
+      check_identical_on ~pool
+        ~label:(Printf.sprintf "after failure, domains=%d" domains)
+        ~db ~copies:3)
+    [ 1; 2; 4 ]
+
+(* a smaller export over a larger one truncates every file *)
+let test_rewrite_fewer_copies () =
+  let db = Lazy.force tpch_db in
+  List.iter
+    (fun domains ->
+      let pool = Par.get ~domains () in
+      let dir = temp_dir "mirage_rewrite" and dir_r = temp_dir "mirage_ref" in
+      Scale_out.to_csv_dir ~pool ~db ~copies:3 ~dir ();
+      Scale_out.to_csv_dir ~pool ~db ~copies:1 ~dir ();
+      Scale_out.Reference.to_csv_dir ~db ~copies:1 ~dir:dir_r ();
+      let got = collect dir in
+      check_same_files
+        ~label:(Printf.sprintf "copies 3 then 1, domains=%d" domains)
+        ~reference:(collect dir_r) got)
+    [ 1; 2; 4 ]
+
 let () =
   Alcotest.run "render"
     [
@@ -367,5 +421,12 @@ let () =
             (test_workload_identity "ssb" Mirage_workloads.Ssb.make ~sf:0.1);
           Alcotest.test_case "tpch domains 1/2/4 x copies 1/3/16" `Slow
             (test_workload_identity "tpch" Mirage_workloads.Tpch.make ~sf:0.05);
+        ] );
+      ( "writer",
+        [
+          Alcotest.test_case "write failure raises Sys_error, pool reusable"
+            `Slow test_write_failure;
+          Alcotest.test_case "fewer copies over a larger export" `Slow
+            test_rewrite_fewer_copies;
         ] );
     ]
