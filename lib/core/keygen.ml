@@ -5,7 +5,6 @@ module Plan = Mirage_relalg.Plan
 module Col = Mirage_engine.Col
 module Db = Mirage_engine.Db
 module Exec = Mirage_engine.Exec
-module Rel = Mirage_engine.Rel
 module Rng = Mirage_util.Rng
 module Par = Mirage_par.Par
 module Cp = Mirage_cp.Cp
@@ -49,41 +48,13 @@ let now () = Unix.gettimeofday ()
    [bool array] element costs, so the 2m child-view vectors of a wide edge
    stay negligible next to the table itself. *)
 let membership ~db ~env ~table view =
-  let n = Db.row_count db table in
-  match view with
-  | Ir.Cv_full t ->
-      if t <> table then invalid_arg "Keygen.membership: table mismatch";
-      let b = Col.Bitset.create n in
-      for i = 0 to n - 1 do
-        Col.Bitset.set b i
-      done;
-      b
-  | Ir.Cv_select { cv_table; cv_pred } ->
-      if cv_table <> table then invalid_arg "Keygen.membership: table mismatch";
-      Exec.select_mask db ~env ~table cv_pred
-  | Ir.Cv_subplan { cv_plan; cv_table } ->
-      if cv_table <> table then invalid_arg "Keygen.membership: table mismatch";
-      let rel = Exec.run db ~env cv_plan in
-      let pk_col = (Schema.table (Db.schema db) table).Schema.pk in
-      let set = Rel.int_set rel pk_col in
-      let b = Col.Bitset.create n in
-      (match Db.col db table pk_col with
-      | Col.Ints { data; nulls = None } ->
-          for i = 0 to n - 1 do
-            if Hashtbl.mem set data.(i) then Col.Bitset.set b i
-          done
-      | Col.Big_ints { data; nulls = None } ->
-          for i = 0 to n - 1 do
-            if Hashtbl.mem set (Bigarray.Array1.unsafe_get data i) then
-              Col.Bitset.set b i
-          done
-      | col ->
-          for i = 0 to n - 1 do
-            match Col.get col i with
-            | Value.Int v -> if Hashtbl.mem set v then Col.Bitset.set b i
-            | _ -> ()
-          done);
-      b
+  if Ir.child_view_table view <> table then
+    invalid_arg "Keygen.membership: table mismatch";
+  Exec.root_mask db ~env ~table
+    (match view with
+    | Ir.Cv_full t -> Plan.Table t
+    | Ir.Cv_select { cv_table; cv_pred } -> Plan.Select (cv_pred, Plan.Table cv_table)
+    | Ir.Cv_subplan { cv_plan; _ } -> cv_plan)
 
 (* Exact proportional split of a remaining total across a batch:
    [alloc] rows of [total_left] are assigned to a batch holding

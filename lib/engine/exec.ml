@@ -328,6 +328,55 @@ let filter_rel ~env pred (rel : Rel.t) =
   done;
   Rel.select rel (Array.sub keep 0 !nk)
 
+(* Int key index shared by [join] and [root_mask]: key -> slot, [-1] when
+   absent.  [n] keys spanning at most [n] values (an unfiltered PK column)
+   index a dense array over their range, so it never outgrows one word per
+   key; a key set ([~set:true], slot 0 for every key) spanning at most [64n]
+   values a bitset, at most 8 bytes per key; anything sparser a Hashtbl. *)
+type key_index =
+  | Dense of { lo : int; hi : int; slots : int array }
+  | Bits of { lo : int; hi : int; bits : Col.Bitset.t }
+  | Sparse of (int, int) Hashtbl.t
+
+let key_find ix k =
+  match ix with
+  | Dense { lo; hi; slots } ->
+      if k >= lo && k <= hi then Array.unsafe_get slots (k - lo) else -1
+  | Bits { lo; hi; bits } ->
+      if k >= lo && k <= hi && Col.Bitset.get bits (k - lo) then 0 else -1
+  | Sparse h -> ( match Hashtbl.find_opt h k with Some v -> v | None -> -1)
+
+let key_add ix k v =
+  match ix with
+  | Dense { lo; slots; _ } -> slots.(k - lo) <- v
+  | Bits { lo; bits; _ } -> Col.Bitset.set bits (k - lo)
+  | Sparse h -> Hashtbl.replace h k v
+
+(* [iter f] calls [f slot key] once per non-NULL key; a first pass sizes the
+   index, a second fills it with [add] *)
+let build_index ?(set = false) iter add =
+  let n = ref 0 and lo = ref max_int and hi = ref min_int in
+  iter (fun _ k ->
+      incr n;
+      if k < !lo then lo := k;
+      if k > !hi then hi := k);
+  let span = !hi - !lo and lo = !lo and hi = !hi in
+  let ix =
+    if span < 0 || span >= (if set then 64 else 1) * !n then
+      Sparse (Hashtbl.create (max 16 !n))
+    else if set then Bits { lo; hi; bits = Col.Bitset.create (span + 1) }
+    else Dense { lo; hi; slots = Array.make (span + 1) (-1) }
+  in
+  iter (add ix);
+  ix
+
+(* (is NULL, key) readers over the physical rows of an int column *)
+let int_keys = function
+  | Col.Ints { data; nulls } -> Some (vnull nulls, Array.unsafe_get data)
+  | Col.Big_ints { data; nulls } ->
+      Some (vnull nulls, Bigarray.Array1.unsafe_get data)
+  | _ -> None
+
 (* PK–FK hash join.  The left relation carries [pk_table]'s primary key
    column, the right relation the foreign key column.  Row-pair order
    replicates the legacy row-major evaluator exactly: right rows ascending,
@@ -362,65 +411,60 @@ let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
     !pr.(!np) <- r;
     incr np
   in
-  (match (lv.Rel.vcol, rv.Rel.vcol) with
-  | ( Col.Ints { data = ldata; nulls = lnulls },
-      Col.Ints { data = rdata; nulls = rnulls } ) ->
-      (* unboxed fast path: int-keyed index, no Value allocation *)
-      let lsel = lv.Rel.vsel and rsel = rv.Rel.vsel in
-      let index = Hashtbl.create nleft in
-      for li = 0 to nleft - 1 do
-        let p = lsel.(li) in
-        if p >= 0 && not (vnull lnulls p) then
-          let k = ldata.(p) in
-          let cur = try Hashtbl.find index k with Not_found -> [] in
-          Hashtbl.replace index k (li :: cur)
-      done;
-      let matched_fk = Hashtbl.create 64 in
-      for ri = 0 to nright - 1 do
-        let p = rsel.(ri) in
-        if p >= 0 && not (vnull rnulls p) then
-          let k = rdata.(p) in
-          match Hashtbl.find_opt index k with
-          | None -> ()
-          | Some lidxs ->
-              Hashtbl.replace matched_fk k ();
-              right_matched.(ri) <- true;
-              List.iter
-                (fun li ->
-                  incr jcc;
-                  left_matched.(li) <- true;
-                  push li ri)
-                lidxs
-      done;
-      jdc := Hashtbl.length matched_fk
-  | _ ->
-      (* generic path: boxed keys, structural equality (legacy behaviour) *)
-      let index = Hashtbl.create nleft in
-      for li = 0 to nleft - 1 do
-        match Rel.get_view lv li with
-        | Value.Null -> ()
-        | v ->
-            let cur = try Hashtbl.find index v with Not_found -> [] in
-            Hashtbl.replace index v (li :: cur)
-      done;
-      let matched_fk = Hashtbl.create 64 in
-      for ri = 0 to nright - 1 do
-        match Rel.get_view rv ri with
-        | Value.Null -> ()
-        | fkv -> (
-            match Hashtbl.find_opt index fkv with
-            | None -> ()
-            | Some lidxs ->
-                Hashtbl.replace matched_fk fkv ();
-                right_matched.(ri) <- true;
-                List.iter
-                  (fun li ->
-                    incr jcc;
-                    left_matched.(li) <- true;
-                    push li ri)
-                  lidxs)
-      done;
-      jdc := Hashtbl.length matched_fk);
+  let (lnull, lkey), (rnull, rkey) =
+    match (int_keys lv.Rel.vcol, int_keys rv.Rel.vcol) with
+    | Some l, Some r -> (l, r)
+    | _ ->
+        (* other representations: intern boxed keys as ints, so keys match
+           by structural equality (legacy behaviour) *)
+        let ids = Hashtbl.create nleft in
+        let reader c =
+          ( Col.is_null c,
+            fun p ->
+              let v = Col.get c p in
+              match Hashtbl.find_opt ids v with
+              | Some id -> id
+              | None ->
+                  let id = Hashtbl.length ids in
+                  Hashtbl.add ids v id;
+                  id )
+        in
+        (reader lv.Rel.vcol, reader rv.Rel.vcol)
+  in
+  (* [head] maps a key to its last left row and [next] chains each left row
+     to the previous one with the same key, so a bucket walks in descending
+     row order *)
+  let lsel = lv.Rel.vsel and rsel = rv.Rel.vsel in
+  let next = Array.make nleft (-1) in
+  let head =
+    build_index
+      (fun f ->
+        for li = 0 to nleft - 1 do
+          let p = lsel.(li) in
+          if p >= 0 && not (lnull p) then f li (lkey p)
+        done)
+      (fun ix li k ->
+        next.(li) <- key_find ix k;
+        key_add ix k li)
+  in
+  for ri = 0 to nright - 1 do
+    let p = rsel.(ri) in
+    if p >= 0 && not (rnull p) then begin
+      let h = key_find head (rkey p) in
+      if h >= 0 then begin
+        (* a chain's head is matched iff its key already was *)
+        if not left_matched.(h) then incr jdc;
+        right_matched.(ri) <- true;
+        let li = ref h in
+        while !li >= 0 do
+          incr jcc;
+          left_matched.(!li) <- true;
+          push !li ri;
+          li := next.(!li)
+        done
+      end
+    end
+  done;
   let pairs_l = Array.sub !pl 0 !np and pairs_r = Array.sub !pr 0 !np in
   let rows_where flags wanted =
     let n = Array.length flags in
@@ -570,49 +614,81 @@ let analyze db ~env plan =
 
 let run db ~env plan = (analyze db ~env plan).result
 
-let table_scope db ~missing ~table cols =
-  let n = Db.row_count db table in
-  let sel = Array.init n (fun i -> i) in
-  let views =
-    List.map
-      (fun c -> (c, { Rel.vname = c; vcol = Db.col db table c; vsel = sel }))
-      cols
+(* clear the rows of [m] failing [f]; [f] only sees rows still set *)
+let keep_where m f =
+  for i = 0 to Col.Bitset.length m - 1 do
+    if Col.Bitset.get m i && not (f i) then Col.Bitset.clear m i
+  done;
+  m
+
+let rec root_mask db ~env ~table plan =
+  let unsupported () =
+    invalid_arg
+      (Printf.sprintf "Exec.root_mask: %s is not a select/join chain over %s"
+         (Plan.node_label plan) table)
   in
-  ( n,
-    {
-      find =
-        (fun c ->
-          match List.assoc_opt c views with
-          | Some v -> v
-          | None -> invalid_arg (missing c));
-    } )
+  let keys tbl col =
+    match int_keys (Db.col db tbl col) with
+    | Some k -> k
+    | None -> unsupported ()
+  in
+  match plan with
+  | Plan.Table t when t = table ->
+      let m = Col.Bitset.create (Db.row_count db table) in
+      for i = 0 to Col.Bitset.length m - 1 do
+        Col.Bitset.set m i
+      done;
+      m
+  | Plan.Select (pred, q) ->
+      let scope =
+        scope_of_rel (scan db table)
+          ~missing:(Printf.sprintf "Exec: column %s not in scope")
+      in
+      keep_where (root_mask db ~env ~table q) (compile ~env scope pred)
+  | Plan.Table _ | Plan.Project _ | Plan.Aggregate _ -> unsupported ()
+  | Plan.Join { jt; pk_table; fk_table; fk_col; left; right } -> (
+      let pk_col = (Schema.table (Db.schema db) pk_table).Schema.pk in
+      let on side = List.mem table (Plan.tables side) in
+      (* the root's side and key column, the other side's root and key
+         column, and which root rows survive: [Some true] those whose key
+         hits the other side's keys, [Some false] the misses, [None] all *)
+      let side, probe, other, other_table, other_col, keep =
+        if table = fk_table && on right && not (on left) then
+          ( right, fk_col, left, pk_table, pk_col,
+            match jt with
+            | Plan.Inner | Plan.Left_outer | Plan.Right_semi -> Some true
+            | Plan.Right_anti -> Some false
+            | Plan.Right_outer | Plan.Full_outer -> None
+            | Plan.Left_semi | Plan.Left_anti -> unsupported () )
+        else if table = pk_table && on left && not (on right) then
+          ( left, pk_col, right, fk_table, fk_col,
+            match jt with
+            | Plan.Inner | Plan.Right_outer | Plan.Left_semi -> Some true
+            | Plan.Left_anti -> Some false
+            | Plan.Left_outer | Plan.Full_outer -> None
+            | Plan.Right_semi | Plan.Right_anti -> unsupported () )
+        else unsupported ()
+      in
+      let m = root_mask db ~env ~table side in
+      match keep with
+      | None -> m
+      | Some keep_hits ->
+          let om = root_mask db ~env ~table:other_table other in
+          let onull, okey = keys other_table other_col in
+          let set =
+            build_index ~set:true
+              (fun f ->
+                for p = 0 to Col.Bitset.length om - 1 do
+                  if Col.Bitset.get om p && not (onull p) then f p (okey p)
+                done)
+              (fun ix _ k -> key_add ix k 0)
+          in
+          let null, key = keys table probe in
+          keep_where m (fun i ->
+              ((not (null i)) && key_find set (key i) >= 0) = keep_hits))
 
 let count_select db ~env ~table pred =
-  let tschema = Schema.table (Db.schema db) table in
-  let names = Schema.column_names tschema in
-  let n, scope =
-    table_scope db ~table names
-      ~missing:(Printf.sprintf "Exec.count_select: unknown column %s")
-  in
-  let p = compile ~env scope pred in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if p i then incr count
-  done;
-  !count
-
-let select_mask db ~env ~table pred =
-  let cols = Mirage_sql.Pred.columns pred in
-  let n, scope =
-    table_scope db ~table cols
-      ~missing:(Printf.sprintf "Exec: column %s not in scope")
-  in
-  let p = compile ~env scope pred in
-  let b = Col.Bitset.create n in
-  for i = 0 to n - 1 do
-    if p i then Col.Bitset.set b i
-  done;
-  b
+  Col.Bitset.count (root_mask db ~env ~table (Plan.Select (pred, Plan.Table table)))
 
 let timed_run db ~env plan =
   let t0 = Unix.gettimeofday () in

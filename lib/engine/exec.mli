@@ -26,22 +26,28 @@ val run : Db.t -> env:Mirage_sql.Pred.Env.t -> Mirage_relalg.Plan.t -> Rel.t
 
 val analyze : Db.t -> env:Mirage_sql.Pred.Env.t -> Mirage_relalg.Plan.t -> analysis
 
+val root_mask :
+  Db.t -> env:Mirage_sql.Pred.Env.t -> table:string -> Mirage_relalg.Plan.t ->
+  Col.Bitset.t
+(** The rows of [table] that appear in the plan's output, one bit per row,
+    without materialising the plan (child-view membership in key
+    generation).  Supported shapes: [Table table]; [Select] over [table]'s
+    columns; [Join] with [table] on one side only, as the FK table on the
+    right or the PK table on the left.  A join turns the other side's own
+    root mask into the set of its key values and tests each surviving root
+    row's key: Inner, semi and the outer join preserving the other side
+    keep hits, anti joins keep misses, outer joins preserving the root keep
+    every row.  NULL keys never hit; duplicate keys on the other side count
+    once.  Rows are kept one by one, so rows sharing a PK value may differ.
+    @raise Invalid_argument on other shapes (projections, aggregates, joins
+    that drop the root's columns), on non-int key columns, and — once a
+    surviving row evaluates them — on predicates over other tables' columns
+    or unbound parameters. *)
+
 val count_select :
   Db.t -> env:Mirage_sql.Pred.Env.t -> table:string -> Mirage_sql.Pred.t -> int
-(** [count_select db ~env ~table p] = |σ_p(table)| without materialising. *)
-
-val select_mask :
-  Db.t ->
-  env:Mirage_sql.Pred.Env.t ->
-  table:string ->
-  Mirage_sql.Pred.t ->
-  Col.Bitset.t
-(** Per-row verdict of a predicate over a whole stored table (compiled once;
-    used for child-view membership vectors in key generation).  Returned as
-    a bitset so table-sized masks follow the off-heap threshold instead of
-    costing 8 heap bytes per row.
-    @raise Invalid_argument like {!count_select} on unknown columns, and on
-    unbound parameters when at least one row evaluates the literal. *)
+(** [count_select db ~env ~table p] = |σ_p(table)|, the popcount of
+    {!root_mask} of [Select (p, Table table)]. *)
 
 val timed_run :
   Db.t -> env:Mirage_sql.Pred.Env.t -> Mirage_relalg.Plan.t -> Rel.t * float

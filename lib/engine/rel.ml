@@ -123,23 +123,3 @@ let distinct_count_on t names =
     Hashtbl.replace seen key ()
   done;
   Hashtbl.length seen
-
-let int_set t name =
-  let v = t.views.(col_index t name) in
-  let set = Hashtbl.create t.rcard in
-  (match v.vcol with
-  | Col.Ints { data; nulls } ->
-      Array.iter
-        (fun p ->
-          if p >= 0 then
-            match nulls with
-            | Some b when Col.Bitset.get b p -> ()
-            | _ -> Hashtbl.replace set data.(p) ())
-        v.vsel
-  | _ ->
-      for i = 0 to t.rcard - 1 do
-        match get_view v i with
-        | Value.Int x -> Hashtbl.replace set x ()
-        | _ -> ()
-      done);
-  set

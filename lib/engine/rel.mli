@@ -54,6 +54,3 @@ val distinct_on : t -> string list -> t
 (** Duplicate-eliminating projection onto the named columns. *)
 
 val distinct_count_on : t -> string list -> int
-
-val int_set : t -> string -> (int, unit) Hashtbl.t
-(** The set of [Int] values in a column; non-int values are ignored. *)

@@ -6,6 +6,7 @@ module Plan = Mirage_relalg.Plan
 module Db = Mirage_engine.Db
 module Col = Mirage_engine.Col
 module Exec = Mirage_engine.Exec
+module Rel = Mirage_engine.Rel
 module Ir = Mirage_core.Ir
 module Diag = Mirage_core.Diag
 module Decouple = Mirage_core.Decouple
@@ -523,6 +524,133 @@ let test_membership_forms () =
   in
   Alcotest.(check int) "subplan pks" 8 (Col.Bitset.count sub)
 
+(* --- Exec.root_mask against materialise-then-project ---------------------- *)
+
+(* the membership algorithm [root_mask] replaced: run the plan, collect the
+   root table's PK values from the output, mark the rows carrying one *)
+let oracle_mask db ~env ~table plan =
+  let pk = (Schema.table (Db.schema db) table).Schema.pk in
+  let set = Hashtbl.create 64 in
+  Array.iter
+    (function Value.Int k -> Hashtbl.replace set k () | _ -> ())
+    (Rel.column_values (Exec.run db ~env plan) pk);
+  let pks = Db.column db table pk in
+  List.filter
+    (fun i -> match pks.(i) with Value.Int k -> Hashtbl.mem set k | _ -> false)
+    (List.init (Array.length pks) Fun.id)
+
+let mask_rows b = List.filter (Col.Bitset.get b) (List.init (Col.Bitset.length b) Fun.id)
+
+let check_root_mask name db ~env ~table plan =
+  Alcotest.(check (list int)) name (oracle_mask db ~env ~table plan)
+    (mask_rows (Exec.root_mask db ~env ~table plan))
+
+(* r <- s <- t.  Sparse and negative keys throughout; s repeats PKs -3 and
+   1000 on otherwise identical rows (so rows and PK values agree), t_fk 55
+   dangles, and s_fk and t_fk hold NULLs.  A NULL is stored over the value 0,
+   which r_pk holds and no s_fk references. *)
+let chain_schema =
+  let table tname pk nonkey fks =
+    { Schema.tname; pk; fks; row_count = 8;
+      nonkeys = [ { Schema.cname = nonkey; domain_size = 8; kind = Schema.Kint } ] }
+  in
+  Schema.make
+    [
+      table "r" "r_pk" "r1" [];
+      table "s" "s_pk" "s1" [ { Schema.fk_col = "s_fk"; references = "r" } ];
+      table "t" "t_pk" "t1" [ { Schema.fk_col = "t_fk"; references = "s" } ];
+    ]
+
+let chain_db () =
+  let ints l =
+    Array.of_list (List.map (function Some x -> Value.Int x | None -> Value.Null) l)
+  in
+  let db = Db.create chain_schema in
+  let some = List.map Option.some in
+  Db.put db "r" [ ("r_pk", ints (some [ -5; 0; 7000 ])); ("r1", ints (some [ 1; 2; 3 ])) ];
+  Db.put db "s"
+    [
+      ("s_pk", ints (some [ -3; -3; 2; 9; 1000; 1000 ]));
+      ("s1", ints (some [ 1; 1; 2; 3; 4; 4 ]));
+      ("s_fk", ints [ Some (-5); Some (-5); None; Some 7000; Some 7000; Some 7000 ]);
+    ];
+  Db.put db "t"
+    [
+      ("t_pk", ints (some [ 1; 2; 3; 4; 5; 6; 7; 8 ]));
+      ("t1", ints (some [ 1; 2; 3; 4; 5; 6; 7; 8 ]));
+      ("t_fk", ints [ Some (-3); Some 2; None; Some 9; Some 1000; Some 55; Some (-3); Some 1000 ]);
+    ];
+  db
+
+let test_root_mask_hand_built () =
+  let db = chain_db () in
+  let env = Pred.Env.empty in
+  let sel p t = Plan.Select (Parser.pred p, Plan.Table t) in
+  let jn jt pk_table fk_table fk_col left right =
+    Plan.Join { jt; pk_table; fk_table; fk_col; left; right }
+  in
+  let st jt left right = jn jt "s" "t" "t_fk" left right in
+  let all_jts =
+    Plan.[ Inner; Left_outer; Right_outer; Full_outer; Left_semi; Right_semi; Left_anti; Right_anti ]
+  in
+  List.iter
+    (fun jt ->
+      let label = Plan.node_label (st jt (Plan.Table "s") (Plan.Table "t")) in
+      (* root on the FK side *)
+      if jt <> Plan.Left_semi && jt <> Plan.Left_anti then begin
+        check_root_mask ("t under " ^ label) db ~env ~table:"t"
+          (st jt (sel "s1 <= 2" "s") (sel "t1 > 1" "t"));
+        (* snowflake: the PK side is itself filtered through r *)
+        check_root_mask ("t under r-filtered " ^ label) db ~env ~table:"t"
+          (st jt (jn Plan.Inner "r" "s" "s_fk" (sel "r1 >= 2" "r") (Plan.Table "s")) (Plan.Table "t"))
+      end;
+      (* root on the PK side: the FK values of surviving t rows *)
+      if jt <> Plan.Right_semi && jt <> Plan.Right_anti then begin
+        check_root_mask ("s over " ^ label) db ~env ~table:"s"
+          (st jt (sel "s1 >= 2" "s") (sel "t1 > 2" "t"));
+        check_root_mask ("r over s over " ^ label) db ~env ~table:"r"
+          (jn jt "r" "s" "s_fk" (Plan.Table "r") (st Plan.Inner (Plan.Table "s") (sel "t1 < 8" "t")))
+      end)
+    all_jts;
+  check_root_mask "select over a join, root columns only" db ~env ~table:"t"
+    (Plan.Select (Parser.pred "t1 < 7", st Plan.Inner (Plan.Table "s") (Plan.Table "t")));
+  let raises name table plan =
+    Alcotest.(check bool) name true
+      (match Exec.root_mask db ~env ~table plan with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  raises "root columns dropped" "t" (st Plan.Left_semi (Plan.Table "s") (Plan.Table "t"));
+  raises "projection" "t" (Plan.Project { cols = [ "t_fk" ]; input = Plan.Table "t" });
+  raises "predicate over another table" "t"
+    (Plan.Select (Parser.pred "s1 > 1", st Plan.Inner (Plan.Table "s") (Plan.Table "t")));
+  raises "root not in the plan" "r" (st Plan.Inner (Plan.Table "s") (Plan.Table "t"))
+
+(* every subplan child view the three shipped workloads extract *)
+let test_root_mask_workload_subplans () =
+  List.iter
+    (fun (name, (w, ref_db, prod_env)) ->
+      let ex = Extract.run w ~ref_db ~prod_env in
+      let n = ref 0 in
+      List.iter
+        (fun (jc : Ir.join_constraint) ->
+          List.iter
+            (function
+              | Ir.Cv_subplan { cv_plan; cv_table } ->
+                  incr n;
+                  check_root_mask
+                    (Printf.sprintf "%s %s %s" name jc.Ir.jc_source cv_table)
+                    ref_db ~env:prod_env ~table:cv_table cv_plan
+              | Ir.Cv_full _ | Ir.Cv_select _ -> ())
+            [ jc.Ir.jc_left; jc.Ir.jc_right ])
+        ex.Extract.ir.Ir.joins;
+      Alcotest.(check bool) (name ^ " has subplan views") true (!n > 0))
+    [
+      ("ssb", Mirage_workloads.Ssb.make ~sf:0.1 ~seed:1);
+      ("tpch", Mirage_workloads.Tpch.make ~sf:0.05 ~seed:1);
+      ("tpcds", Mirage_workloads.Tpcds.make ~sf:0.1 ~seed:1);
+    ]
+
 (* --- SQL export --------------------------------------------------------------- *)
 
 let test_sql_ddl () =
@@ -929,6 +1057,10 @@ let () =
             test_solve_cache_distinct_systems_miss;
           Alcotest.test_case "solve cache: driver identity" `Quick
             test_solve_cache_driver_identity;
+          Alcotest.test_case "root mask: hand-built shapes" `Quick
+            test_root_mask_hand_built;
+          Alcotest.test_case "root mask: workload subplans" `Quick
+            test_root_mask_workload_subplans;
         ] );
       ( "sql-export",
         [

@@ -6,6 +6,7 @@ module Plan = Mirage_relalg.Plan
 module Db = Mirage_engine.Db
 module Rel = Mirage_engine.Rel
 module Exec = Mirage_engine.Exec
+module Col = Mirage_engine.Col
 
 let schema =
   Schema.make
@@ -109,7 +110,14 @@ let test_rel_distinct () =
   in
   Alcotest.(check int) "distinct pairs" 2 (Rel.card (Rel.distinct_on r [ "a"; "b" ]));
   Alcotest.(check int) "distinct a" 1 (Rel.distinct_count_on r [ "a" ]);
-  Alcotest.(check int) "int set" 1 (Hashtbl.length (Rel.int_set r "a"))
+  (* eight FK rows over four distinct keys: each S row is marked once *)
+  let s_with_t =
+    Plan.Join
+      { jt = Plan.Inner; pk_table = "s"; fk_table = "t"; fk_col = "t_fk";
+        left = Plan.Table "s"; right = Plan.Table "t" }
+  in
+  Alcotest.(check int) "distinct key set" 4
+    (Col.Bitset.count (Exec.root_mask (db ()) ~env ~table:"s" s_with_t))
 
 (* --- selection ------------------------------------------------------------ *)
 
@@ -280,6 +288,88 @@ let prop_join_size_equations =
       && size Plan.Left_anti = s.Exec.left_card - s.Exec.jdc
       && size Plan.Right_anti = s.Exec.right_card - s.Exec.jcc)
 
+(* One join against a nested-loop reference: every matching (left, right)
+   pair, right rows ascending and the left rows of one right row descending,
+   then the unmatched rows the join type keeps, each ascending.  Rows are
+   (s row, t row) ids read back from the unique [s1] / [t_pk] columns. *)
+let nested_loop jt (lkeys : int option array) (rkeys : int option array) =
+  let ls = List.init (Array.length lkeys) Fun.id in
+  let rs = List.init (Array.length rkeys) Fun.id in
+  let hit l r = lkeys.(l) <> None && lkeys.(l) = rkeys.(r) in
+  let pairs =
+    List.concat_map
+      (fun r -> List.filter_map (fun l -> if hit l r then Some (Some l, Some r) else None) (List.rev ls))
+      rs
+  in
+  let lm l = List.exists (hit l) rs and rm r = List.exists (fun l -> hit l r) ls in
+  let lrows want = List.filter_map (fun l -> if lm l = want then Some (Some l, None) else None) ls in
+  let rrows want = List.filter_map (fun r -> if rm r = want then Some (None, Some r) else None) rs in
+  let rows =
+    match jt with
+    | Plan.Inner -> pairs
+    | Plan.Left_outer -> pairs @ lrows false
+    | Plan.Right_outer -> pairs @ rrows false
+    | Plan.Full_outer -> pairs @ lrows false @ rrows false
+    | Plan.Left_semi -> lrows true
+    | Plan.Right_semi -> rrows true
+    | Plan.Left_anti -> lrows false
+    | Plan.Right_anti -> rrows false
+  in
+  let jdc = List.sort_uniq compare (List.filter_map (fun r -> if rm r then rkeys.(r) else None) rs) in
+  (rows, List.length pairs, List.length jdc)
+
+(* a key column in the representation [repr] picks: typed ints, off-heap
+   ints, or boxed values (the interned path) *)
+let key_col repr (keys : int option array) =
+  let vals = Array.map (function Some k -> Value.Int k | None -> Value.Null) keys in
+  match repr with
+  | 0 -> Col.of_values vals
+  | 1 ->
+      let nulls = Col.Bitset.create (Array.length keys) in
+      Array.iteri (fun i k -> if k = None then Col.Bitset.set nulls i) keys;
+      let data = Array.map (Option.value ~default:0) keys in
+      Col.Big_ints
+        { data = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout data; nulls = Some nulls }
+  | _ -> Col.Boxed vals
+
+let prop_join_nested_loop =
+  QCheck.Test.make ~name:"join equals a nested loop for all 8 join types" ~count:300
+    QCheck.(pair (pair (int_range 0 8) (int_range 0 12)) (int_range 0 100_000))
+    (fun ((nl, nr), seed) ->
+      let rng = Mirage_util.Rng.create seed in
+      let pick lo hi = Mirage_util.Rng.int_in rng lo hi in
+      (* dense keys in -3..3, or the same values spread a million apart *)
+      let scale = if pick 0 1 = 0 then 1 else 1_000_003 in
+      let key _ = if pick 0 4 = 0 then None else Some (scale * pick (-3) 3) in
+      let lkeys = Array.init nl key and rkeys = Array.init nr key in
+      let ids n = Col.of_ints (Array.init n Fun.id) in
+      let db = Db.create schema in
+      Db.put_cols db "s" [ ("s_pk", key_col (pick 0 2) lkeys); ("s1", ids nl) ];
+      Db.put_cols db "t"
+        [ ("t_pk", ids nr); ("t_fk", key_col (pick 0 2) rkeys); ("t1", ids nr); ("t2", ids nr) ];
+      List.for_all
+        (fun jt ->
+          let a =
+            Exec.analyze db ~env
+              (Plan.Join
+                 { jt; pk_table = "s"; fk_table = "t"; fk_col = "t_fk";
+                   left = Plan.Table "s"; right = Plan.Table "t" })
+          in
+          let rel = a.Exec.result in
+          let id col i =
+            if not (Rel.has_col rel col) then None
+            else
+              match Rel.get rel ~row:i ~col:(Rel.col_index rel col) with
+              | Value.Int x -> Some x
+              | _ -> None
+          in
+          let got = List.init (Rel.card rel) (fun i -> (id "s1" i, id "t_pk" i)) in
+          let rows, jcc, jdc = nested_loop jt lkeys rkeys in
+          let stat = List.assoc 0 a.Exec.join_stats in
+          got = rows && a.Exec.cards.(0) = List.length rows
+          && stat.Exec.jcc = jcc && stat.Exec.jdc = jdc)
+        Plan.[ Inner; Left_outer; Right_outer; Full_outer; Left_semi; Right_semi; Left_anti; Right_anti ])
+
 let () =
   Alcotest.run "engine"
     [
@@ -306,5 +396,6 @@ let () =
           Alcotest.test_case "aggregate global" `Quick test_aggregate_global;
           Alcotest.test_case "aggregate over empty" `Quick test_aggregate_over_empty;
           QCheck_alcotest.to_alcotest prop_join_size_equations;
+          QCheck_alcotest.to_alcotest prop_join_nested_loop;
         ] );
     ]
